@@ -5,14 +5,10 @@ operator benches) over $GRAFT_SF_DIR and prints ONE JSON line.
   python bench.py --scaling    # fresh processes at 8 and 32 CPUs on the
                                # same input; reports both + efficiency
 
-Reading fused_operator_stats: a suboperator reported as
-``N:Sort[cached Xs] = 0.0`` means that Sort executed ONCE (costing X
-seconds, already included in an earlier numbered stage that shares the
-lineage) and this stage reused the cached result — 0.0 is the reuse
-cost, not a free sort, and X is NOT double-counted in the stage sums.
-The convention exists because Ray Data re-reports shared upstream
-operators per consuming stage; round-3 readers mistook the raw doubled
-numbers for a Sort regression.
+Stage walls come from the pipeline summary (``wall``): every stage of the
+checkpointed run, and the materialized stages of the fused run (docs,
+edges, clusters), where a streamed stage's time falls in the stage that
+materializes it.
 """
 
 from __future__ import annotations
@@ -167,12 +163,7 @@ def _run_benches(sf_dir: str, ncpus: int) -> dict:
         pq.read_table(summary["clusters_dir"]), pq.read_table(lp)
     )
     timings["er_pipeline_fused"] = round(t_er, 3)
-    if "operator_stats" in summary:
-        # per-operator wall times from Dataset.stats() (observability)
-        timings["fused_operator_stats"] = summary["operator_stats"]
-    if "phase_times" in summary:
-        # coarse phases: which parts scale with CPUs vs stay driver-serial
-        timings["fused_phase_times"] = summary["phase_times"]
+    timings["fused_stage_wall"] = summary["wall"]
 
     scaling_only = os.environ.get("GRAFT_BENCH_MODE") == "scaling"
     if not scaling_only:
@@ -180,8 +171,6 @@ def _run_benches(sf_dir: str, ncpus: int) -> dict:
         # path). GRAFT_BENCH_REPS fresh repetitions (default 2), keep the
         # best — one headline sample landing in a degraded host phase
         # otherwise reads as an engine regression (see _probe_host).
-        from triple_accel_ray.pipeline.checkpoint import read_manifest
-
         reps = max(1, int(os.environ.get("GRAFT_BENCH_REPS", "2")))
         best = None
         for rep in range(reps):
@@ -194,15 +183,11 @@ def _run_benches(sf_dir: str, ncpus: int) -> dict:
             summary_ck = run_er_pipeline(tp, run_dir2, PipelineConfig())
             t_ck = round(time.perf_counter() - t0, 3)
             if best is None or t_ck < best[0]:
-                best = (t_ck, run_dir2, summary_ck)
-        t_ck, run_dir2, summary_ck = best
+                best = (t_ck, summary_ck)
+        t_ck, summary_ck = best
         timings["er_pipeline_checkpointed"] = t_ck
         summary["rows"] = summary_ck["rows"]
-        # per-stage wall times from the stage manifests (observability)
-        timings["stages"] = {
-            s: read_manifest(os.path.join(run_dir2, s))["wall_sec"]
-            for s in ("docs", "blocks", "pairs", "edges", "clusters")
-        }
+        timings["stages"] = summary_ck["wall"]
 
     # representative operator benches over the shared testdata tables
     def timed(name, fn):

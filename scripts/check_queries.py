@@ -1,8 +1,9 @@
-"""Local replica of the driver's correctness gate: run every queries()
-entry at sf0.01 (or a given sf dir), run its oracle SQL in DuckDB, compare
-row count + (sorted) schema + order-insensitive value hash.
+"""Local replica of the correctness gate: run every queries() entry on a
+testdata scale dir (sf0.01 for the gate), run its oracle SQL in DuckDB,
+compare row count + (sorted) schema + order-insensitive value hash.
 
-Usage: python scripts/check_queries.py [--json OUT.json] [sf_dir] [query ...]
+Usage: python scripts/check_queries.py sf_dir [query ...] [--json OUT.json]
+(options may come in any position; an unknown option is an error)
 
 With --json, writes a machine-readable per-query artifact (verdict, row
 counts, wall time) alongside the console output — the committed full-gate
@@ -12,12 +13,16 @@ correctness window.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
 import pyarrow as pa
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def to_table(res) -> pa.Table:
@@ -70,14 +75,15 @@ def compare(name: str, ours: pa.Table, theirs: pa.Table) -> str:
     return "OK"
 
 
-def main():
-    args = sys.argv[1:]
-    json_out = None
-    if args and args[0] == "--json":
-        json_out = args[1]
-        args = args[2:]
-    sf_dir = args[0] if args else "/root/testdata/sf0.01"
-    only = set(args[1:])
+def main(argv=None):
+    p = argparse.ArgumentParser(
+        description="Run every query and compare it with its DuckDB oracle.")
+    p.add_argument("--json", dest="json_out", metavar="OUT.json",
+                   help="also write a per-query JSON artifact")
+    p.add_argument("sf_dir", help="testdata scale dir, e.g. .../sf0.01")
+    p.add_argument("query", nargs="*", help="only these queries")
+    args = p.parse_intermixed_args(argv)
+    json_out, sf_dir, only = args.json_out, args.sf_dir, set(args.query)
 
     import ray
 
@@ -88,7 +94,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     import __ray_entry__ as e
 
     qs = e.queries()
@@ -147,7 +153,7 @@ def main():
         import subprocess
 
         sha = subprocess.run(
-            ["git", "-C", "/root/repo", "rev-parse", "HEAD"],
+            ["git", "-C", REPO, "rev-parse", "HEAD"],
             capture_output=True, text=True).stdout.strip()
         with open(json_out, "w") as f:
             json.dump({"sf_dir": sf_dir, "head_sha": sha,

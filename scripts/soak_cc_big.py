@@ -150,8 +150,7 @@ def main() -> int:
     stats: dict = {}
     t0 = time.perf_counter()
     cc = connected_components(edges, nodes, num_partitions=32,
-                              max_iters=40, on_nonconverge="raise",
-                              stats=stats)
+                              max_iters=40, stats=stats)
     got = cc.to_pandas()
     cc_sec = time.perf_counter() - t0
 

@@ -211,9 +211,6 @@ def test_adaptive_score_batch_size(ray_session):
     n = 100 * 4 * ncpus * 1000
     bs = _score_batch_size(cfg, n)
     assert bs == min(cfg.score_batch_max, n // (4 * ncpus))
-    # adaptivity off -> always the configured size
-    cfg_off = PipelineConfig(score_batch_adaptive=False)
-    assert _score_batch_size(cfg_off, 100_000_000) == cfg_off.score_batch_size
 
 
 def test_cluster_local_transitivity():
@@ -440,7 +437,7 @@ def test_connected_components_delta_telemetry(ray_session):
     got = (connected_components(
                rd.from_arrow(et).repartition(9),
                rd.from_arrow(nt).repartition(4), num_partitions=4,
-               on_nonconverge="raise", stats=stats)
+               stats=stats)
            .to_pandas().sort_values("conv_id").reset_index(drop=True))
     want = (connected_components_local(et, nt).to_pandas()
             .sort_values("conv_id").reset_index(drop=True))
@@ -449,7 +446,111 @@ def test_connected_components_delta_telemetry(ray_session):
     prop = stats["propagate_msg_rows"]
     assert len(prop) >= 3                      # chain needs >1 round
     assert stats["changed"][-1] == 0           # exact fixpoint
+    # one entry per round in every list (the converging round ships 0
+    # jump rows)
+    assert len(stats["changed"]) == len(prop) == len(stats["jump_msg_rows"])
+    assert stats["jump_msg_rows"][-1] == 0
     # telescoping: once triangles settle, only chain-frontier nodes
     # stay dirty — volume must drop well below the full first round
     assert min(prop[1:]) < prop[0]
     assert prop[-1] < prop[0] // 2
+
+
+def test_connected_components_nonconvergence_raises(ray_session):
+    """Exact or raise: a shuffled chain given fewer rounds than its
+    fixpoint needs raises instead of returning stale labels."""
+    import random
+
+    import ray.data as rd
+
+    from triple_accel_ray.pipeline.cluster import connected_components
+
+    n = 300
+    edges = [(f"c{i:04d}", f"c{i + 1:04d}") for i in range(n - 1)]
+    random.Random(5).shuffle(edges)
+    et = pa.table({"a_id": [a for a, _ in edges],
+                   "b_id": [b for _, b in edges]})
+    nt = pa.table({"conv_id": [f"c{i:04d}" for i in range(n)]})
+
+    def run(max_iters, stats=None):
+        return connected_components(
+            rd.from_arrow(et).repartition(8), rd.from_arrow(nt),
+            num_partitions=4, max_iters=max_iters, stats=stats,
+        ).to_pandas()
+
+    stats: dict = {}
+    out = run(25, stats)
+    assert (out["cluster_id"] == "c0000").all()
+    rounds = len(stats["changed"])
+    assert rounds >= 2
+    with pytest.raises(RuntimeError, match="no fixpoint"):
+        run(rounds - 1)
+
+
+def test_fixture_cache_keyed_on_generator(tmp_path, monkeypatch):
+    """ensure_fixture's cache key includes a digest of the generator
+    source: a changed generator writes its own corpus instead of reading
+    the one another generator left behind."""
+    from triple_accel_ray.pipeline import transcripts as tr
+
+    monkeypatch.setattr(tr, "FIXTURE_ROOT", str(tmp_path))
+    sf_dir = str(tmp_path / "sf0.0001")
+    tp, lp = tr.ensure_fixture(sf_dir)
+    assert tp.startswith(str(tmp_path))
+    assert os.path.basename(os.path.dirname(tp)).endswith(
+        tr._generator_digest())
+    assert tr.ensure_fixture(sf_dir) == (tp, lp)  # cache hit
+
+    # another generator version: a different directory, freshly written
+    monkeypatch.setattr(tr, "_generator_digest", lambda: "0ther0")
+    tp2, lp2 = tr.ensure_fixture(sf_dir)
+    assert os.path.dirname(tp2) != os.path.dirname(tp)
+    assert os.path.exists(tp2) and os.path.exists(lp2)
+    assert os.path.exists(tp)  # the first corpus is left untouched
+
+
+def test_er_pipeline_no_matches(ray_session, tmp_path):
+    """A corpus with no candidate pairs at all (every doc distinct) runs
+    through both modes: every doc is its own cluster."""
+    import pyarrow.parquet as pq
+
+    from triple_accel_ray.pipeline import PipelineConfig, run_er_pipeline
+    from triple_accel_ray.pipeline.run import run_er_pipeline_fused
+
+    rng = np.random.default_rng(0)
+    n = 6
+    texts = [rng.integers(97, 123, 200, dtype=np.uint8).tobytes().decode()
+             for _ in range(n)]
+    tp = str(tmp_path / "distinct.parquet")
+    pq.write_table(pa.table({
+        "conv_id": [f"c{i}" for i in range(n)],
+        "turn_idx": pa.array([0] * n, pa.int32()),
+        "role": ["user"] * n, "text": texts, "tool": [""] * n,
+        "ts": pa.array([0] * n, pa.timestamp("us")),
+    }), tp)
+    cfg = PipelineConfig(doc_buckets=2, pair_buckets=2)
+    s1 = run_er_pipeline_fused(tp, str(tmp_path / "fused"), cfg)
+    s2 = run_er_pipeline(tp, str(tmp_path / "ck"), PipelineConfig(
+        doc_buckets=2, pair_buckets=2, local_cluster_edge_cap=0,
+        cluster_partitions=2))
+    assert s2["rows"]["pairs"] == 0
+    for s in (s1, s2):
+        assert s["rows"]["edges"] == 0
+        out = pq.read_table(s["clusters_dir"])
+        assert sorted(out["conv_id"].to_pylist()) == sorted(
+            out["cluster_id"].to_pylist()) == [f"c{i}" for i in range(n)]
+
+
+def test_text_lookup_raises_on_unknown_id(ray_session):
+    """The id→text lookup shared by the broadcast scorer and the dedup
+    ops' text attachment raises on an id the index lacks instead of
+    attaching a null text."""
+    import ray
+
+    from triple_accel_ray.pipeline.score import TextLookup, build_text_index
+
+    look = TextLookup(ray.put(build_text_index(
+        pa.table({"conv_id": ["a", "b"], "doc_text": ["x", "y"]}))))
+    assert look(pa.array(["b", "a"])).to_pylist() == ["y", "x"]
+    with pytest.raises(KeyError):
+        look(pa.array(["a", "zz"]))

@@ -214,32 +214,6 @@ def _shingle_set_jaccard(a_texts, b_texts, shingle: int = 5,
     return out
 
 
-class _AttachFromIndex:
-    """Attach a_text/b_text to id pairs from a broadcast (ray.put)
-    id→text index — the small-corpus alternative to two bucketed joins.
-    The ObjectRef ships per task; the index is fetched once per worker.
-    Lookup via `pc.index_in` (C++ hash) — see pipeline.score.build_text_index."""
-
-    def __init__(self, index_ref):
-        self.index_ref = index_ref
-        self._idx = None
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if self._idx is None:
-            import ray
-
-            self._idx = ray.get(self.index_ref)
-        ids, texts = self._idx
-        import pyarrow.compute as pc
-
-        def look(col):
-            return texts.take(pc.index_in(col, value_set=ids))
-
-        return t.append_column("a_text", look(t["a_id"])).append_column(
-            "b_text", look(t["b_id"])
-        )
-
-
 def minhash_dup_pairs(docs, id_col: str = "doc_id", text_col: str = "text",
                       threshold: float = 0.7, num_buckets: int = 32,
                       n_bands: int = 16, num_perm: int = 64,
@@ -255,7 +229,7 @@ def minhash_dup_pairs(docs, id_col: str = "doc_id", text_col: str = "text",
     and verified every duplicate candidate copy — ~12x redundant at
     sf0.1), and texts attach once per unique pair: broadcast index under
     ``broadcast_text_max_bytes``, bucketed hash joins at scale."""
-    from ..pipeline.pairs import attach_pair_texts, gen_pairs
+    from ..pipeline.pairs import attach_texts, gen_pairs
 
     keyer = BlockKeyer(num_perm=num_perm, n_bands=n_bands, families=("mh",))
 
@@ -270,11 +244,6 @@ def minhash_dup_pairs(docs, id_col: str = "doc_id", text_col: str = "text",
         # keyer emits only the mh family (families=("mh",)): id-only rows
         return keyer(src)
 
-    def _texts(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"conv_id": t[id_col].cast(pa.string()), "doc_text": t[text_col]}
-        )
-
     blocks = docs.map_batches(_keys, batch_format="pyarrow", batch_size=2048)
     # gen_pairs' boundary-partitioned shuffles emit exactly num_buckets
     # one-bucket blocks, so the verification stage gets num_buckets tasks
@@ -284,28 +253,8 @@ def minhash_dup_pairs(docs, id_col: str = "doc_id", text_col: str = "text",
         hot_block_window=hot_block_window,
     )
 
-    size = docs.size_bytes() or (1 << 62)
-    if size <= broadcast_text_max_bytes:
-        import ray
-
-        from ..pipeline.score import build_text_index
-
-        parts = [
-            t
-            for t in ray.get(
-                docs.map_batches(_texts, batch_format="pyarrow").to_arrow_refs()
-            )
-            if t.num_rows > 0
-        ]
-        index_ref = ray.put(build_text_index(pa.concat_tables(parts)))
-        with_texts = pairs.map_batches(
-            _AttachFromIndex(index_ref), batch_format="pyarrow"
-        )
-    else:
-        with_texts = attach_pair_texts(
-            pairs, docs.map_batches(_texts, batch_format="pyarrow"),
-            num_partitions=num_buckets,
-        )
+    with_texts = attach_texts(pairs, docs, id_col, text_col,
+                              broadcast_text_max_bytes, num_buckets)
 
     out_schema = pa.schema(
         [("a_id", pa.string()), ("b_id", pa.string()),
@@ -357,7 +306,7 @@ def ssjoin_token_pairs(docs, id_col: str = "doc_id", text_col: str = "text",
     ops/text.normalize_text_batch)."""
     import pyarrow.compute as pc
 
-    from ..pipeline.pairs import attach_pair_texts
+    from ..pipeline.pairs import attach_texts
     from ..pipeline.shuffle import bucket_partition
 
     TOK = r"[^ \t-\r]+"
@@ -440,30 +389,8 @@ def ssjoin_token_pairs(docs, id_col: str = "doc_id", text_col: str = "text",
         }),
         batch_format="pyarrow")
 
-    def _texts(t: pa.Table) -> pa.Table:
-        return pa.table({"conv_id": t[id_col].cast(pa.string()),
-                         "doc_text": t[text_col]})
-
-    size = docs.size_bytes() or (1 << 62)
-    if size <= broadcast_text_max_bytes:
-        import ray
-
-        from ..pipeline.score import build_text_index
-
-        parts = [
-            tt for tt in ray.get(
-                docs.map_batches(_texts, batch_format="pyarrow")
-                .to_arrow_refs())
-            if tt.num_rows > 0
-        ]
-        index_ref = ray.put(build_text_index(pa.concat_tables(parts)))
-        with_texts = pairs.map_batches(
-            _AttachFromIndex(index_ref), batch_format="pyarrow")
-    else:
-        with_texts = attach_pair_texts(
-            pairs, docs.map_batches(_texts, batch_format="pyarrow"),
-            num_partitions=num_buckets,
-        )
+    with_texts = attach_texts(pairs, docs, id_col, text_col,
+                              broadcast_text_max_bytes, num_buckets)
 
     out_schema = pa.schema([
         ("a_id", pa.string()), ("b_id", pa.string()),
@@ -1132,7 +1059,6 @@ def near_dup_survivors(docs, threshold: float = 0.5, num_buckets: int = 32,
     cc = connected_components(
         pairs.select_columns(["a_id", "b_id"]), nodes,
         num_partitions=num_buckets, max_iters=max_iters,
-        on_nonconverge="raise",
     )
 
     def _keep(t: pa.Table) -> pa.Table:
@@ -1169,7 +1095,6 @@ def simhash_survivors(docs, max_hamming: int = 6, num_buckets: int = 32,
     cc = connected_components(
         pairs.select_columns(["a_id", "b_id"]), nodes,
         num_partitions=num_buckets, max_iters=max_iters,
-        on_nonconverge="raise",
     )
 
     def _keep(t: pa.Table) -> pa.Table:
@@ -1507,7 +1432,6 @@ def near_dup_survivors_best(docs, threshold: float = 0.5,
     cc = connected_components(
         pairs.select_columns(["a_id", "b_id"]), nodes,
         num_partitions=num_buckets, max_iters=max_iters,
-        on_nonconverge="raise",
     )
     scores = docs.map_batches(
         lambda t: pa.table(

@@ -14,8 +14,8 @@ generation, keyed by block_key):
     the half-shifted bucket emitted too so near-dups straddling a bucket
     boundary still collide.
 
-The BlockKeyer is a callable CLASS: permutation tables are built once per
-actor (``__init__``), reused across batches.
+The BlockKeyer is a callable CLASS: permutation tables are built once
+(``__init__``) and reused across batches.
 """
 
 from __future__ import annotations
@@ -333,28 +333,14 @@ class BlockKeyer:
         )
 
 
-def build_blocks(docs, keyer_kwargs: dict | None = None, concurrency=None,
-                 batch_rows: int | None = None):
+def build_blocks(docs, keyer_kwargs: dict | None = None):
     """docs Dataset → block rows Dataset.
 
-    Default execution is STATELESS tasks (the keyer instance is serialized
-    once and reused per worker process, so its scratch buffers stay warm
-    across same-worker tasks): measured 3x faster end-to-end than an
-    autoscaling actor pool at sf0.1/32cpu — the pool ramps up from one
-    actor while tasks fan out immediately. ``concurrency`` remains for
-    callers that want a fixed pool. ``batch_rows`` defaults to None (one
-    batch per block): an explicit batch_size makes Ray re-bundle blocks,
-    measured 5-8x slower here; set it only for tiny input blocks (to
-    coalesce) or >~30k-row blocks (keyer window set goes superlinear)."""
-    kw = keyer_kwargs or {}
-    bs = {"batch_size": batch_rows} if batch_rows else {}
-    if concurrency:
-        return docs.map_batches(
-            BlockKeyer,
-            fn_constructor_kwargs=kw,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            **bs,
-        )
-    keyer = BlockKeyer(**kw)
-    return docs.map_batches(keyer, batch_format="pyarrow", **bs)
+    Runs as STATELESS tasks, one batch per input block. The keyer instance
+    is serialized once and reused per worker process, so its scratch
+    buffers stay warm across same-worker tasks; an autoscaling actor pool
+    measured 3x slower end-to-end at sf0.1/32cpu (it ramps up from one
+    actor while tasks fan out immediately), and an explicit batch_size
+    makes Ray re-bundle blocks, measured 5-8x slower here."""
+    keyer = BlockKeyer(**(keyer_kwargs or {}))
+    return docs.map_batches(keyer, batch_format="pyarrow")

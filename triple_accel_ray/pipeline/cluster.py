@@ -83,12 +83,18 @@ def _contract_block(t: pa.Table) -> pa.Table:
     return pa.concat_tables([fwd, rev])
 
 
+def _nonconverged(max_iters: int):
+    raise RuntimeError(
+        f"connected_components: no fixpoint after {max_iters} iterations — "
+        f"a component's diameter exceeds the bound and its labels would be "
+        f"stale (multiple labels may remain); raise max_iters")
+
+
 def connected_components(
     edges,
     nodes,
     num_partitions: int = 32,
     max_iters: int = 25,
-    on_nonconverge: str = "warn",
     stats: dict | None = None,
 ):
     """edges (a_id, b_id) + nodes (conv_id) → (conv_id, cluster_id).
@@ -114,14 +120,14 @@ def connected_components(
 
     Labels propagate one hop per iteration, so convergence needs up to
     the CONTRACTED component diameter iterations; if the fixpoint is
-    NOT reached in ``max_iters`` the labels are stale (a component can
-    keep >1 label). ``on_nonconverge``: "warn" (default — print and
-    return the stale labels, the ER pipeline's historical behavior) or
-    "raise" for callers whose contract is exact transitive collapse
-    (e.g. dedup survivors)."""
+    NOT reached in ``max_iters`` the labels would be stale (a component
+    can keep >1 label), so this raises RuntimeError instead: the result
+    is exact or there is none."""
     # stats (optional dict, filled in place): per-iteration telemetry —
     # "propagate_msg_rows" / "jump_msg_rows" (total message rows shipped
-    # between buckets that round) and "changed" (labels that decreased).
+    # between buckets that round) and "changed" (labels that decreased);
+    # the three lists always have equal length (the converging round
+    # runs no jump exchange and records 0 jump rows).
     # The message volume telescopes: after pre-contraction each round
     # ships at most one (nbr, min) row per resident edge endpoint, and
     # once a region stabilizes its minima stop changing, so volumes
@@ -327,7 +333,6 @@ def connected_components(
         stats.setdefault("propagate_msg_rows", [])
         stats.setdefault("jump_msg_rows", [])
         stats.setdefault("changed", [])
-    converged = False
     for _ in range(max_iters):
         # propagate: one edge hop
         msgs = [_iter_map.options(num_returns=B).remote(eb[b], lb[b])
@@ -346,7 +351,8 @@ def connected_components(
             # labels across every edge (both directions are present)
             # force one constant per component, and that constant can
             # only be the min member id — skip the final jump exchange
-            converged = True
+            if stats is not None:
+                stats["jump_msg_rows"].append(0)
             break
         # shortcut: label <- min(label, label[label]) — pointer jump
         qs = [_jump_query.options(num_returns=B).remote(lb[b])
@@ -362,17 +368,8 @@ def connected_components(
                 sum(ray.get([o[2] for o in outs])))
         # jump changes don't gate exit: convergence is only declared by
         # a zero-change PROPAGATE round (see proof above)
-
-    if not converged:
-        msg = (f"connected_components: no fixpoint after {max_iters} "
-               f"iterations — a component's diameter exceeds the bound "
-               f"and its labels are stale (multiple labels may remain); "
-               f"raise max_iters")
-        if on_nonconverge == "raise":
-            raise RuntimeError(msg)
-        import sys
-
-        print(f"[cluster] WARNING: {msg}", file=sys.stderr)
+    else:
+        _nonconverged(max_iters)
 
     return rd.from_arrow_refs(lb).map_batches(
         lambda t: pa.table({"conv_id": t["node"], "cluster_id": t["label"]}),
@@ -385,7 +382,6 @@ def connected_components_dataset(
     nodes,
     num_partitions: int = 32,
     max_iters: int = 25,
-    on_nonconverge: str = "warn",
 ):
     """Dataset-API twin of :func:`connected_components` (per-iteration
     bucket_join + groupby-min, convergence by label checksum) — kept as
@@ -408,7 +404,6 @@ def connected_components_dataset(
     sym_schema = pa.schema([("node", pa.string()), ("nbr", pa.string())])
     lab_schema = pa.schema([("lnode", pa.string()), ("label", pa.string())])
 
-    converged = False
     prev_sum = _checksum(labels)
     for it in range(max_iters):
         # neighbor labels: bucket_join sym.nbr == labels.node — the same
@@ -437,20 +432,10 @@ def connected_components_dataset(
         new_sum = _checksum(new_labels)
         labels = new_labels
         if new_sum == prev_sum:
-            converged = True
             break
         prev_sum = new_sum
-
-    if not converged:
-        msg = (f"connected_components: no fixpoint after {max_iters} "
-               f"iterations — a component's diameter exceeds the bound "
-               f"and its labels are stale (multiple labels may remain); "
-               f"raise max_iters")
-        if on_nonconverge == "raise":
-            raise RuntimeError(msg)
-        import sys
-
-        print(f"[cluster] WARNING: {msg}", file=sys.stderr)
+    else:
+        _nonconverged(max_iters)
 
     return labels.map_batches(
         lambda t: pa.table({"conv_id": t["node"], "cluster_id": t["label"]}),

@@ -30,19 +30,6 @@ class PipelineConfig:
     shingle_size: int = 5
     blocking_seed: int = 7
     len_band_width: int = 32  # signature-key length bucket width (bytes)
-    # keyer execution: STATELESS tasks. Round 2 ran this as an autoscaling
-    # (1, 64) actor pool for scratch reuse and regressed the stage ~3x at
-    # sf0.1 (VERDICT r2); the round-3 in-pipeline A/B on the same docs
-    # measured actor pool (1,64) = 3.98s vs stateless = 1.29s at 32 CPUs —
-    # the pool ramps from 1 actor while stateless tasks fan out to every
-    # core immediately, and the keyer is cheap to construct. None = tasks.
-    block_concurrency: tuple | None = None
-    # per-task keyer batch rows: None = one batch per input block (the
-    # fast path — an explicit batch_size makes Ray re-bundle blocks, which
-    # measured 5-8x slower on this stage at sf0.1). Set only when input
-    # blocks are tiny (dedup over one small file) or huge (>~30k rows,
-    # where the keyer's window working set goes superlinear)
-    block_batch_rows: int | None = None
 
     # --- pair generation --------------------------------------------------
     # like doc_buckets, a CAP: the pair shuffles' reducer count is ALSO the
@@ -62,8 +49,9 @@ class PipelineConfig:
     hot_block_window: int = 8
 
     # --- text attachment --------------------------------------------------
-    # when the docs table fits under this many bytes it is broadcast once
-    # (ray.put) and the scorer resolves texts by lookup — no join shuffles;
+    # when the input transcripts' uncompressed size (parquet footers) fits
+    # under this many bytes the docs text is broadcast once (an object-store
+    # index) and the scorer resolves texts by lookup — no join shuffles;
     # larger corpora use the two bucketed hash joins (the 100TB path)
     broadcast_text_max_bytes: int = 2 << 30
 
@@ -72,19 +60,10 @@ class PipelineConfig:
     abs_min_k: int = 4
     abs_max_k: int = 128
     costs: EditCosts = field(default_factory=lambda: LEVENSHTEIN_COSTS)
+    # scoring batches grow from score_batch_size toward score_batch_max
+    # while keeping >= 4 batches per CPU (run._score_batch_size)
     score_batch_size: int = 512
-    # adaptive scoring batches: the scorer chunks each batch by W =
-    # ceil(len/64) before the kernel, and small batches fragment into tiny
-    # W-groups that are pure numpy-dispatch overhead (measured single-core
-    # on the sf0.1 pair mix: 62.7 core-s at bs=512 vs 51.0 at bs=8192).
-    # When the pair count is known (checkpointed path: pairs manifest) or
-    # estimable (fused path: doc count; pairs/doc ≈ 0.9 on transcript
-    # corpora), grow the batch toward score_batch_max while keeping >= 4
-    # batches per CPU so no core starves. score_batch_size stays the floor
-    # (and the exact size used when adaptivity is off or counts unknown).
-    score_batch_adaptive: bool = True
     score_batch_max: int = 8192
-    score_concurrency: int | tuple | None = None  # None → stateless tasks
     # match decision: dist within k AND normalized similarity above this
     min_similarity: float = 0.85
 

@@ -246,3 +246,37 @@ def attach_pair_texts(pairs, docs, num_partitions: int = 32):
         left_schema=j1_schema, right_schema=b_schema,
         num_buckets=num_partitions,
     )
+
+
+class _AttachFromIndex:
+    """a_text/b_text onto id pairs from a broadcast text index."""
+
+    def __init__(self, index_ref):
+        from .score import TextLookup
+
+        self.lookup = TextLookup(index_ref)
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        return t.append_column("a_text", self.lookup(t["a_id"])).append_column(
+            "b_text", self.lookup(t["b_id"]))
+
+
+def attach_texts(pairs, docs, id_col: str, text_col: str,
+                 broadcast_max_bytes: int, num_partitions: int = 32):
+    """Attach both documents' texts (``docs``' ``text_col`` keyed by
+    ``id_col`` cast to string) onto id-only pairs: a broadcast id→text
+    index when ``docs`` is at most ``broadcast_max_bytes`` in memory (no
+    join shuffles), else the two bucketed joins of
+    :func:`attach_pair_texts` (the scale path)."""
+    from .score import build_text_index_remote
+
+    def _texts(t: pa.Table) -> pa.Table:
+        return pa.table({"conv_id": t[id_col].cast(pa.string()),
+                         "doc_text": t[text_col]})
+
+    texts = docs.map_batches(_texts, batch_format="pyarrow")
+    if (docs.size_bytes() or (1 << 62)) <= broadcast_max_bytes:
+        index_ref = build_text_index_remote(texts.to_arrow_refs())
+        return pairs.map_batches(_AttachFromIndex(index_ref),
+                                 batch_format="pyarrow")
+    return attach_pair_texts(pairs, texts, num_partitions=num_partitions)

@@ -1,17 +1,36 @@
-"""End-to-end entity-resolution pipeline orchestrator.
+"""End-to-end entity-resolution pipeline, written once as a stage graph.
 
 read_parquet(transcripts)
-  → build_docs          (shuffle 1: conv_id buckets)
-  → build_blocks        (stateless vectorized map)
-  → gen_pairs           (shuffle 2: block_key buckets, skew-capped)
-  → score_pairs         (kernel hot loop, whole-batch banded DP)
-  → dedup_edges         (shuffle 3: pair buckets)
-  → connected_components(shuffles 4..4+r: label-propagation fixpoint)
-  → clusters + metrics
+  → docs      build_docs   (shuffle 1: conv_id buckets)
+  → blocks    build_blocks (stateless vectorized map)
+  → pairs     gen_pairs    (shuffles 2-3: block_key buckets, skew-capped;
+                            pair-hash buckets, global dedup)
+  → edges     PairScorer   (texts from a broadcast index or two bucketed
+                            joins; kernel hot loop; is_match filter)
+  → clusters  connected components (driver union-find below
+                            ``local_cluster_edge_cap``, else the
+                            distributed label-propagation fixpoint)
 
-Every stage checkpoints to Parquet with a manifest (checkpoint.py); a rerun
-with unchanged inputs resumes after the last complete stage. Callers own the
-Ray session — nothing here calls ray.init().
+``STAGES`` lists the stages in order. Each has one build function, the
+earlier stages it reads, and its own fingerprint fields. Two
+materialization policies run that list:
+
+- object store (``run_er_pipeline_fused``, the max-throughput mode): a
+  stage is materialized only when more than one later step reads it
+  (docs and edges); every other stage streams into its reader.
+- checkpoint (``run_er_pipeline``, the durable mode): every stage is
+  written to Parquet with a manifest (checkpoint.py) and the next stage
+  reads it back; a rerun with unchanged inputs resumes after the last
+  complete stage.
+
+The clusters stage is written to ``{run_dir}/clusters`` in both. Both
+return one summary (the checkpoint policy also writes it to
+``summary.json``): ``mode``, ``clusters_dir``, ``rows`` and ``wall``
+(seconds) per stage, and ``metrics`` (pairwise F1) when labels are given.
+Rows are listed where they are known without a pass over the data; a
+streamed stage has no wall of its own, its time falls in the stage that
+materializes it. Callers own the Ray session — nothing here calls
+ray.init().
 """
 
 from __future__ import annotations
@@ -19,9 +38,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Optional
+import shutil
+import time
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data as rd
@@ -32,8 +55,9 @@ from .cluster import connected_components, connected_components_local
 from .config import PipelineConfig
 from .docs import build_docs
 from .metrics import pairwise_f1
-from .pairs import gen_pairs
-from .score import dedup_edges, score_pairs
+from .pairs import attach_pair_texts, gen_pairs
+from .score import BroadcastTextScorer, PairScorer, build_text_index_remote
+from .transcripts import count_rows, uncompressed_bytes
 
 
 def _fingerprint(*parts) -> str:
@@ -42,10 +66,6 @@ def _fingerprint(*parts) -> str:
         h.update(str(p).encode())
         h.update(b"\0")
     return h.hexdigest()
-
-
-def _read_dir(stage_dir: str):
-    return rd.read_parquet(stage_dir)
 
 
 def _read_blocks() -> int:
@@ -93,11 +113,12 @@ _DOCS_PER_PAIR_BUCKET = 1500
 
 
 def _score_batch_size(cfg: PipelineConfig, n_pairs_est: int) -> int:
-    """Scoring batch size for an (estimated) total pair count — grows
-    toward cfg.score_batch_max while keeping >= 4 batches per cluster CPU
-    (load balance); see PipelineConfig.score_batch_adaptive."""
-    if not cfg.score_batch_adaptive:
-        return cfg.score_batch_size
+    """Scoring batch size for an (estimated) total pair count: grows from
+    cfg.score_batch_size toward cfg.score_batch_max while keeping >= 4
+    batches per cluster CPU (load balance). Small batches fragment into
+    tiny W-groups that are pure numpy-dispatch overhead (measured
+    single-core on the sf0.1 pair mix: 62.7 core-s at bs=512 vs 51.0 at
+    bs=8192)."""
     import ray
 
     ncpus = int(ray.cluster_resources().get("CPU", 0)) or 32
@@ -109,198 +130,207 @@ def _score_batch_size(cfg: PipelineConfig, n_pairs_est: int) -> int:
     )
 
 
+class _Run:
+    """What the stage builders see: the input, the config, and each
+    earlier stage's output and row count (when known). An output is a
+    Dataset (object store) or the directory it was written to
+    (checkpoint); ``ds`` and ``table`` read either."""
+
+    def __init__(self, transcripts_path: str, cfg: PipelineConfig):
+        self.path = transcripts_path
+        self.cfg = cfg
+        self.out: dict = {}
+        self.rows: dict = {}
+
+    def ds(self, stage: str):
+        out = self.out[stage]
+        return rd.read_parquet(out) if isinstance(out, str) else out
+
+    def table(self, stage: str, columns: list) -> pa.Table:
+        """``columns`` (string ids) of a stage as one driver-side table."""
+        if not self.rows[stage]:
+            # an empty stage may have written no file at all
+            return pa.table({c: pa.array([], pa.string()) for c in columns})
+        out = self.out[stage]
+        if isinstance(out, str):
+            return pq.read_table(out, columns=columns)
+        import ray
+
+        # arrow refs, no pandas round trip (that measured 2.7 s of
+        # driver-serial time at sf0.4)
+        return pa.concat_tables(
+            [t for t in ray.get(out.select_columns(columns).to_arrow_refs())
+             if t.num_rows])
+
+
+def _docs(r: _Run):
+    return build_docs(
+        rd.read_parquet(r.path, override_num_blocks=_read_blocks()),
+        # parquet footers only — no data read
+        _effective_buckets(r.cfg.doc_buckets, count_rows(r.path),
+                           _TURNS_PER_DOC_BUCKET),
+    )
+
+
+def _blocks(r: _Run):
+    c = r.cfg
+    return build_blocks(r.ds("docs"), keyer_kwargs=dict(
+        num_perm=c.minhash_perms, n_bands=c.minhash_bands,
+        shingle=c.shingle_size, seed=c.blocking_seed,
+        len_band_width=c.len_band_width,
+    ))
+
+
+def _pairs(r: _Run):
+    c = r.cfg
+    return gen_pairs(
+        r.ds("blocks"),
+        num_buckets=_effective_buckets(c.pair_buckets, r.rows["docs"],
+                                       _DOCS_PER_PAIR_BUCKET),
+        hot_block_cap=c.hot_block_cap,
+        hot_block_window=c.hot_block_window,
+    )
+
+
+def _match_edges(t: pa.Table) -> pa.Table:
+    # pairs are globally unique after gen_pairs' dedup shuffle, so edge
+    # extraction is a stateless filter — no extra shuffle needed here
+    return t.filter(pc.equal(t["is_match"], True)).select(
+        ["a_id", "b_id", "dist", "sim"])
+
+
+def _edges(r: _Run):
+    c = r.cfg
+    kw = dict(rel_k=c.rel_k, abs_min_k=c.abs_min_k, abs_max_k=c.abs_max_k,
+              costs=c.costs, min_similarity=c.min_similarity)
+    docs = r.ds("docs")
+    # the input's uncompressed size (parquet footers) decides small-side
+    # broadcast vs the two bucketed text joins: no pass over the data
+    if uncompressed_bytes(r.path) <= c.broadcast_text_max_bytes:
+        # the index builds in a remote task from the docs blocks (free
+        # refs on a materialized stage), so the driver never copies the
+        # text and the build overlaps the pairs stream
+        scorer = BroadcastTextScorer(
+            build_text_index_remote(docs.to_arrow_refs()), **kw)
+        pairs = r.ds("pairs")
+    else:
+        scorer = PairScorer(**kw)
+        pairs = attach_pair_texts(r.ds("pairs"), docs,
+                                  num_partitions=c.pair_buckets)
+    # the exact pair count when the pairs stage was written, else the doc
+    # count (pairs/doc ≈ 0.9 on transcript corpora)
+    batch_size = _score_batch_size(c, r.rows.get("pairs", r.rows["docs"]))
+    return pairs.map_batches(
+        scorer, batch_format="pyarrow", batch_size=batch_size,
+    ).map_batches(_match_edges, batch_format="pyarrow")
+
+
+def _clusters(r: _Run):
+    c = r.cfg
+    if r.rows["edges"] <= c.local_cluster_edge_cap:
+        # small-graph shortcut: id columns only reach the driver
+        return connected_components_local(
+            r.table("edges", ["a_id", "b_id"]), r.table("docs", ["conv_id"]))
+    return connected_components(
+        r.ds("edges"), r.ds("docs").select_columns(["conv_id"]),
+        num_partitions=c.cluster_partitions, max_iters=c.cluster_max_iters,
+    )
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    build: Callable[[_Run], object]  # -> Dataset, or a pa.Table result
+    # config fields that shape the output (the checkpoint fingerprint)
+    fingerprint: Callable[[PipelineConfig], tuple]
+    reads: tuple = ()   # earlier stages whose rows it consumes
+    counts: tuple = ()  # earlier stages whose row count it needs
+
+
+STAGES = (
+    Stage("docs", _docs, lambda c: (c.doc_buckets,)),
+    Stage("blocks", _blocks, lambda c: (
+        c.minhash_perms, c.minhash_bands, c.shingle_size, c.blocking_seed,
+        c.len_band_width), reads=("docs",)),
+    Stage("pairs", _pairs, lambda c: (
+        c.pair_buckets, c.hot_block_cap, c.hot_block_window),
+        reads=("blocks",), counts=("docs",)),
+    Stage("edges", _edges, lambda c: (
+        c.rel_k, c.abs_min_k, c.abs_max_k, c.min_similarity, str(c.costs)),
+        reads=("pairs", "docs")),
+    Stage("clusters", _clusters, lambda c: (
+        c.cluster_partitions, c.cluster_max_iters),
+        reads=("edges", "docs"), counts=("edges",)),
+)
+
+
+def _later_reads(name: str) -> int:
+    return sum((s.reads + s.counts).count(name) for s in STAGES)
+
+
+def _write(out, stage: str, out_dir: str) -> None:
+    if isinstance(out, pa.Table):
+        pq.write_table(out, os.path.join(out_dir, f"{stage}_0.parquet"))
+    else:
+        out.write_parquet(out_dir)
+
+
+def _run_graph(transcripts_path: str, run_dir: str,
+               cfg: Optional[PipelineConfig], labels_path: Optional[str],
+               checkpoint: bool, resume: bool = True) -> dict:
+    r = _Run(transcripts_path, cfg or PipelineConfig())
+    os.makedirs(run_dir, exist_ok=True)
+    fp = _fingerprint(transcripts_path, os.path.getmtime(transcripts_path))
+    wall: dict = {}
+    for st in STAGES:
+        t0 = time.perf_counter()
+        d = os.path.join(run_dir, st.name)
+        if checkpoint:
+            fp = _fingerprint(fp, *st.fingerprint(r.cfg), f"{st.name}_v1")
+            run_stage(run_dir, st.name, fp,
+                      lambda tmp, st=st: _write(st.build(r), st.name, tmp),
+                      resume)
+            r.rows[st.name] = read_manifest(d)["rows"]
+            r.out[st.name] = d
+        elif st is STAGES[-1]:
+            shutil.rmtree(d, ignore_errors=True)
+            os.makedirs(d)
+            _write(st.build(r), st.name, d)
+            r.rows[st.name] = count_rows(d)  # parquet footers
+        elif _later_reads(st.name) > 1:
+            r.out[st.name] = st.build(r).materialize()
+            r.rows[st.name] = r.out[st.name].count()  # metadata only
+        else:
+            r.out[st.name] = st.build(r)  # streams into its one reader
+            continue
+        wall[st.name] = round(time.perf_counter() - t0, 3)
+
+    clusters_dir = os.path.join(run_dir, STAGES[-1].name)
+    summary = {
+        "mode": "checkpointed" if checkpoint else "fused",
+        "clusters_dir": clusters_dir,
+        "rows": r.rows,
+        "wall": wall,
+    }
+    if labels_path:
+        summary["metrics"] = pairwise_f1(
+            pq.read_table(clusters_dir), pq.read_table(labels_path))
+    if checkpoint:  # persisted next to the manifests
+        with open(os.path.join(run_dir, "summary.json"), "w") as f:
+            json.dump(summary, f, indent=1, default=str)
+    return summary
+
+
 def run_er_pipeline_fused(
     transcripts_path: str,
     run_dir: str,
     cfg: Optional[PipelineConfig] = None,
     labels_path: Optional[str] = None,
 ) -> dict:
-    """One fused streaming execution with no intermediate checkpoints:
-    docs are pinned in the object store (they feed both blocking and the
-    text joins); everything else streams end-to-end. This is the
-    max-throughput mode — the checkpointed `run_er_pipeline` is the
-    durable/resumable mode and shares every stage implementation."""
-    import pyarrow.compute as _pc
-
-    from .pairs import attach_pair_texts
-
-    cfg = cfg or PipelineConfig()
-    os.makedirs(run_dir, exist_ok=True)
-
-    import time
-
-    import ray
-
-    phases: dict = {}
-    t_ph = time.perf_counter()
-
-    def _phase(name):
-        nonlocal t_ph
-        now = time.perf_counter()
-        phases[name] = round(now - t_ph, 3)
-        t_ph = now
-
-    from .transcripts import count_rows
-
-    # parquet metadata only — no data read
-    n_turns = count_rows(transcripts_path)
-    docs = build_docs(
-        rd.read_parquet(
-            transcripts_path, override_num_blocks=_read_blocks()
-        ),
-        _effective_buckets(cfg.doc_buckets, n_turns, _TURNS_PER_DOC_BUCKET),
-    ).materialize()
-    _phase("docs_materialize")
-    blocks = build_blocks(
-        docs,
-        keyer_kwargs=dict(
-            num_perm=cfg.minhash_perms,
-            n_bands=cfg.minhash_bands,
-            shingle=cfg.shingle_size,
-            seed=cfg.blocking_seed,
-            len_band_width=cfg.len_band_width,
-        ),
-        concurrency=cfg.block_concurrency,
-        batch_rows=cfg.block_batch_rows,
-    )
-    n_docs = docs.count()  # metadata only: docs is materialized
-    pairs = gen_pairs(
-        blocks,
-        num_buckets=_effective_buckets(
-            cfg.pair_buckets, n_docs, _DOCS_PER_PAIR_BUCKET
-        ),
-        hot_block_cap=cfg.hot_block_cap,
-        hot_block_window=cfg.hot_block_window,
-    )
-    scorer_kw = dict(
-        rel_k=cfg.rel_k,
-        abs_min_k=cfg.abs_min_k,
-        abs_max_k=cfg.abs_max_k,
-        costs=cfg.costs,
-        min_similarity=cfg.min_similarity,
-    )
-    text_bytes = docs.size_bytes() or (1 << 62)
-    # pairs/doc ≈ 0.9 on transcript corpora makes the doc count a fine
-    # batch-size estimate
-    score_bs = _score_batch_size(cfg, n_docs)
-    if text_bytes <= cfg.broadcast_text_max_bytes:
-        # small-side broadcast: no join shuffles (see config threshold).
-        # Index built in a REMOTE task (ref of a pending result): the
-        # driver never copies the text and the build overlaps the
-        # read/block/pair stages (it was 3 serial memcpys of the corpus
-        # on the critical path — see build_text_index_remote).
-        from .score import BroadcastTextScorer, build_text_index_remote
-
-        index_ref = build_text_index_remote(
-            docs.select_columns(["conv_id", "doc_text"]).to_arrow_refs()
-        )
-        _phase("broadcast_index_driver")
-        scored = pairs.map_batches(
-            BroadcastTextScorer(index_ref, **scorer_kw),
-            batch_format="pyarrow",
-            batch_size=score_bs,
-        )
-    else:
-        with_texts = attach_pair_texts(
-            pairs, docs.select_columns(["conv_id", "doc_text"]),
-            num_partitions=cfg.pair_buckets,
-        )
-        scored = score_pairs(
-            with_texts,
-            batch_size=score_bs,
-            concurrency=cfg.score_concurrency,
-            **scorer_kw,
-        )
-    edges = scored.map_batches(
-        lambda t: t.filter(_pc.equal(t["is_match"], True)).select(
-            ["a_id", "b_id", "dist", "sim"]
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    _phase("stream_to_edges")
-
-    n_edges = edges.count()
-    clusters_dir = os.path.join(run_dir, "clusters")
-    os.makedirs(clusters_dir, exist_ok=True)
-    if n_edges <= cfg.local_cluster_edge_cap:
-        # collect as arrow directly (a pandas round-trip here measured
-        # 2.7 s of driver-serial time at sf0.4); the node list reuses the
-        # broadcast-path docs collection when it exists
-        et = pa.concat_tables(
-            [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows > 0]
-        ).select(["a_id", "b_id"])
-        # node list: conv_id-only collect (~16 B/doc — the full-text
-        # docs_table is no longer collected on the driver at all)
-        nt = pa.concat_tables(
-            [
-                t for t in ray.get(
-                    docs.select_columns(["conv_id"]).to_arrow_refs()
-                )
-                if t.num_rows > 0
-            ]
-        )
-        out = connected_components_local(et, nt)
-        pq.write_table(out, os.path.join(clusters_dir, "clusters_0.parquet"))
-    else:
-        connected_components(
-            edges, docs.select_columns(["conv_id"]),
-            num_partitions=cfg.cluster_partitions,
-            max_iters=cfg.cluster_max_iters,
-        ).write_parquet(clusters_dir)
-    _phase("cluster_and_write")
-
-    summary = {
-        "clusters_dir": clusters_dir,
-        "rows": {"edges": int(n_edges)},
-        "mode": "fused",
-        # coarse wall-clock phases (serial-fraction observability: the
-        # driver-side phases are the parts that do NOT scale with CPUs)
-        "phase_times": phases,
-    }
-    # per-operator execution stats of the main fused stream (observability
-    # for the bench JSON): operator name -> wall time seconds
-    try:
-        summary["operator_stats"] = _operator_wall_times(edges.stats())
-    except Exception:  # pragma: no cover - stats formats drift across Ray
-        pass
-    if labels_path:
-        summary["metrics"] = pairwise_f1(
-            pq.read_table(clusters_dir), pq.read_table(labels_path)
-        )
-    return summary
-
-
-def _operator_wall_times(stats_text: str) -> dict:
-    """Parse 'Operator N <name>: ... produced in X.XXs' lines from
-    Dataset.stats() into {operator: seconds}.
-
-    An all-to-all operator consumed by two plan branches appears TWICE
-    in the stats with the same wall time, its suboperators tagged
-    '[execution cached]' on the re-reference (round-3 verdict: Sort
-    reported under two indices, inflating naive stage sums). Such
-    entries are emitted as '<n>:<name>[cached]' with 0.0 so the sum of
-    values equals real wall time while the plan shape stays visible."""
-    import re
-
-    entries = []                               # (idx, name, secs, cached)
-    for line in stats_text.splitlines():
-        m = re.match(
-            r"Operator (\d+) (.+?): .*in ([0-9.]+)s\s*$", line.strip()
-        )
-        if m:
-            entries.append([m.group(1), m.group(2)[:70],
-                            float(m.group(3)), False])
-        elif entries and "[execution cached]" in line:
-            entries[-1][3] = True
-    out = {}
-    for idx, name, secs, cached in entries:
-        if cached:
-            # keep the reported figure visible in the key, but don't let
-            # it count toward a stage sum twice
-            out[f"{idx}:{name}[cached {secs}s]"] = 0.0
-        else:
-            out[f"{idx}:{name}"] = secs
-    return out
+    """Run the stage graph under the object-store policy: one streaming
+    execution, no intermediate checkpoints. Returns the summary dict."""
+    return _run_graph(transcripts_path, run_dir, cfg, labels_path,
+                      checkpoint=False)
 
 
 def run_er_pipeline(
@@ -310,180 +340,12 @@ def run_er_pipeline(
     labels_path: Optional[str] = None,
     resume: bool = True,
 ) -> dict:
-    """Run the full ER pipeline; returns summary dict (stage dirs, counts,
-    and pairwise F1 when ``labels_path`` is given)."""
-    cfg = cfg or PipelineConfig()
-    os.makedirs(run_dir, exist_ok=True)
-    base_fp = _fingerprint(transcripts_path, os.path.getmtime(transcripts_path))
-
-    # stage: docs ---------------------------------------------------------
-    fp_docs = _fingerprint(base_fp, cfg.doc_buckets, "docs_v1")
-
-    def _w_docs(tmp):
-        from .transcripts import count_rows
-
-        ds = rd.read_parquet(
-            transcripts_path, override_num_blocks=_read_blocks()
-        )
-        build_docs(
-            ds,
-            _effective_buckets(
-                cfg.doc_buckets, count_rows(transcripts_path),
-                _TURNS_PER_DOC_BUCKET,
-            ),
-        ).write_parquet(tmp)
-
-    docs_dir = run_stage(run_dir, "docs", fp_docs, _w_docs, resume)
-
-    # stage: blocks -------------------------------------------------------
-    fp_blocks = _fingerprint(
-        fp_docs, cfg.minhash_perms, cfg.minhash_bands, cfg.shingle_size,
-        cfg.blocking_seed, cfg.len_band_width, "blocks_v1",
-    )
-
-    def _w_blocks(tmp):
-        build_blocks(
-            _read_dir(docs_dir),
-            keyer_kwargs=dict(
-                num_perm=cfg.minhash_perms,
-                n_bands=cfg.minhash_bands,
-                shingle=cfg.shingle_size,
-                seed=cfg.blocking_seed,
-                len_band_width=cfg.len_band_width,
-            ),
-            concurrency=cfg.block_concurrency,
-            batch_rows=cfg.block_batch_rows,
-        ).write_parquet(tmp)
-
-    blocks_dir = run_stage(run_dir, "blocks", fp_blocks, _w_blocks, resume)
-
-    # stage: pairs --------------------------------------------------------
-    fp_pairs = _fingerprint(
-        fp_blocks, cfg.pair_buckets, cfg.hot_block_cap, cfg.hot_block_window,
-        "pairs_v1",
-    )
-
-    def _w_pairs(tmp):
-        gen_pairs(
-            _read_dir(blocks_dir),
-            num_buckets=_effective_buckets(
-                cfg.pair_buckets, read_manifest(docs_dir)["rows"],
-                _DOCS_PER_PAIR_BUCKET,
-            ),
-            hot_block_cap=cfg.hot_block_cap,
-            hot_block_window=cfg.hot_block_window,
-        ).write_parquet(tmp)
-
-    pairs_dir = run_stage(run_dir, "pairs", fp_pairs, _w_pairs, resume)
-
-    # stage: scored edges -------------------------------------------------
-    fp_edges = _fingerprint(
-        fp_pairs, cfg.rel_k, cfg.abs_min_k, cfg.abs_max_k, cfg.min_similarity,
-        str(cfg.costs), "edges_v1",
-    )
-
-    def _w_edges(tmp):
-        from .pairs import attach_pair_texts
-
-        scorer_kw = dict(
-            rel_k=cfg.rel_k,
-            abs_min_k=cfg.abs_min_k,
-            abs_max_k=cfg.abs_max_k,
-            costs=cfg.costs,
-            min_similarity=cfg.min_similarity,
-        )
-        docs_bytes = sum(
-            os.path.getsize(os.path.join(docs_dir, f))
-            for f in os.listdir(docs_dir)
-            if f.endswith(".parquet")
-        )
-        # exact pair count from the pairs-stage manifest
-        score_bs = _score_batch_size(cfg, read_manifest(pairs_dir)["rows"])
-        if docs_bytes <= cfg.broadcast_text_max_bytes:
-            from .score import BroadcastTextScorer, build_text_index_remote
-
-            # parquet read + index build in a worker task: the pairs
-            # read below starts immediately instead of waiting behind a
-            # driver-serial full-corpus read
-            index_ref = build_text_index_remote(docs_dir=docs_dir)
-            scored = _read_dir(pairs_dir).map_batches(
-                BroadcastTextScorer(index_ref, **scorer_kw),
-                batch_format="pyarrow",
-                batch_size=score_bs,
-            )
-        else:
-            with_texts = attach_pair_texts(
-                _read_dir(pairs_dir),
-                _read_dir(docs_dir).select_columns(["conv_id", "doc_text"]),
-                num_partitions=cfg.pair_buckets,
-            )
-            scored = score_pairs(
-                with_texts,
-                batch_size=score_bs,
-                concurrency=cfg.score_concurrency,
-                **scorer_kw,
-            )
-        # pairs are globally unique after the pair-dedup shuffle, so edge
-        # extraction is a stateless filter — no extra shuffle needed here
-        # (dedup_edges exists for callers whose pair streams still carry
-        # cross-block duplicates).
-        import pyarrow.compute as _pc
-
-        scored.map_batches(
-            lambda t: t.filter(_pc.equal(t["is_match"], True)).select(
-                ["a_id", "b_id", "dist", "sim"]
-            ),
-            batch_format="pyarrow",
-        ).write_parquet(tmp)
-
-    edges_dir = run_stage(run_dir, "edges", fp_edges, _w_edges, resume)
-
-    # stage: clusters -----------------------------------------------------
-    fp_clusters = _fingerprint(
-        fp_edges, cfg.cluster_partitions, cfg.cluster_max_iters, "clusters_v1"
-    )
-
-    def _w_clusters(tmp):
-        n_edges = read_manifest(edges_dir)["rows"]
-        if n_edges <= cfg.local_cluster_edge_cap:
-            # documented small-graph shortcut: collect edges, driver union-find
-            et = pq.read_table(edges_dir, columns=["a_id", "b_id"])
-            nt = pq.read_table(docs_dir, columns=["conv_id"])
-            out = connected_components_local(et, nt)
-            pq.write_table(out, os.path.join(tmp, "clusters_0.parquet"))
-        else:
-            connected_components(
-                _read_dir(edges_dir),
-                _read_dir(docs_dir).select_columns(["conv_id"]),
-                num_partitions=cfg.cluster_partitions,
-                max_iters=cfg.cluster_max_iters,
-            ).write_parquet(tmp)
-        return {"n_edges": int(n_edges)}
-
-    clusters_dir = run_stage(run_dir, "clusters", fp_clusters, _w_clusters, resume)
-
-    summary = {
-        "docs_dir": docs_dir,
-        "blocks_dir": blocks_dir,
-        "pairs_dir": pairs_dir,
-        "edges_dir": edges_dir,
-        "clusters_dir": clusters_dir,
-        "rows": {
-            s: read_manifest(d)["rows"]
-            for s, d in [
-                ("docs", docs_dir), ("blocks", blocks_dir),
-                ("pairs", pairs_dir), ("edges", edges_dir),
-                ("clusters", clusters_dir),
-            ]
-        },
-    }
-    if labels_path:
-        clusters = pq.read_table(clusters_dir)
-        labels = pq.read_table(labels_path)
-        summary["metrics"] = pairwise_f1(clusters, labels)
-    with open(os.path.join(run_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=1, default=str)
-    return summary
+    """Run the stage graph under the checkpoint policy: every stage is
+    written under ``run_dir`` and, with ``resume``, a stage whose
+    fingerprint matches its manifest is reused. Returns the summary
+    dict."""
+    return _run_graph(transcripts_path, run_dir, cfg, labels_path,
+                      checkpoint=True, resume=resume)
 
 
 def main(argv=None) -> int:

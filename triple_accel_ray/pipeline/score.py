@@ -1,6 +1,6 @@
 """Stage 4: candidate pairs → scored pairs (the kernel hot loop).
 
-Ray-Data shape: stateless-or-actor-pool ``map_batches`` whose body is the
+Ray-Data shape: a stateless ``map_batches`` whose body is the
 whole-batch banded DP from ``kernels.batch`` (numpy across the pair
 dimension — no per-row Python). Fast paths per batch, in order:
 
@@ -131,7 +131,7 @@ def build_text_index(docs_table: pa.Table):
     return ids, texts
 
 
-def build_text_index_remote(doc_part_refs=None, docs_dir: str = None):
+def build_text_index_remote(doc_part_refs):
     """Build the broadcast text index in a REMOTE task and return the
     ObjectRef of its result.
 
@@ -140,13 +140,11 @@ def build_text_index_remote(doc_part_refs=None, docs_dir: str = None):
     scored stream can start: the collect and the combine are each a full
     memcpy of the text, and ray.put is a third. Building in a worker task
     instead (a) moves those copies off the driver and (b) overlaps the
-    build with the read/block/pair stages — the scorer's first batch
-    blocks on ``ray.get(index_ref)`` only if the index isn't ready yet.
+    build with the stages that run meanwhile — a consumer blocks on
+    ``ray.get(index_ref)`` only if the index isn't ready yet.
 
-    Pass either ``doc_part_refs`` (ObjectRefs of arrow tables with
-    conv_id/doc_text — e.g. ``ds.to_arrow_refs()`` of a materialized
-    dataset) or ``docs_dir`` (a checkpoint directory of parquet parts,
-    read inside the task so the driver never touches the bytes).
+    ``doc_part_refs``: ObjectRefs of arrow tables holding (at least)
+    conv_id and doc_text, e.g. ``docs.to_arrow_refs()``.
     """
     import ray
 
@@ -155,17 +153,29 @@ def build_text_index_remote(doc_part_refs=None, docs_dir: str = None):
         tab = pa.concat_tables([t for t in parts if t.num_rows > 0])
         return build_text_index(tab)
 
-    @ray.remote(num_cpus=1)
-    def _from_dir(d):
-        import pyarrow.parquet as pq
-
-        return build_text_index(
-            pq.read_table(d, columns=["conv_id", "doc_text"])
-        )
-
-    if docs_dir is not None:
-        return _from_dir.remote(docs_dir)
     return _from_parts.remote(*doc_part_refs)
+
+
+class TextLookup:
+    """id → text from a broadcast :func:`build_text_index` result. The
+    ObjectRef ships with the callable; the index is fetched once per
+    worker. An id the index lacks raises instead of yielding a null
+    text."""
+
+    def __init__(self, index_ref):
+        self.index_ref = index_ref
+        self._index = None
+
+    def __call__(self, id_col) -> pa.Array:
+        if self._index is None:
+            import ray
+
+            self._index = ray.get(self.index_ref)
+        ids, texts = self._index
+        pos = pc.index_in(id_col, value_set=ids)
+        if pos.null_count:
+            raise KeyError("pair references an id missing from the text index")
+        return texts.take(pos)
 
 
 class BroadcastTextScorer(PairScorer):
@@ -176,21 +186,7 @@ class BroadcastTextScorer(PairScorer):
 
     def __init__(self, index_ref, **kw):
         super().__init__(**kw)
-        self.index_ref = index_ref
-        self._index = None
-
-    def _lookup(self, id_col) -> pa.Array:
-        if self._index is None:
-            import ray
-
-            self._index = ray.get(self.index_ref)
-        ids, texts = self._index
-        import pyarrow.compute as pc
-
-        pos = pc.index_in(id_col, value_set=ids)
-        if pos.null_count:
-            raise KeyError("pair references unknown conv_id")
-        return texts.take(pos)
+        self._lookup = TextLookup(index_ref)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         batch = pa.table(
@@ -202,30 +198,6 @@ class BroadcastTextScorer(PairScorer):
             }
         )
         return super().__call__(batch)
-
-
-def score_pairs(
-    pairs,
-    batch_size: int = 1024,
-    concurrency=None,
-    **scorer_kwargs,
-):
-    """pairs Dataset → scored Dataset. With ``concurrency`` set this becomes
-    an actor pool (scorer state built once per actor); otherwise stateless
-    tasks (the scorer is cheap to construct, so tasks are the default —
-    elastic and no pool sizing to get wrong)."""
-    if concurrency:
-        return pairs.map_batches(
-            PairScorer,
-            fn_constructor_kwargs=scorer_kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
-    scorer = PairScorer(**scorer_kwargs)
-    return pairs.map_batches(
-        scorer, batch_format="pyarrow", batch_size=batch_size
-    )
 
 
 def explain_edges(edges_with_texts, costs: EditCosts = LEVENSHTEIN_COSTS,
@@ -266,42 +238,3 @@ def explain_edges(edges_with_texts, costs: EditCosts = LEVENSHTEIN_COSTS,
         return t.append_column("trace", pa.array(traces, trace_type))
 
     return edges_with_texts.map_batches(_explain, batch_format="pyarrow")
-
-
-def dedup_edges(scored, num_buckets: int = 32):
-    """Scored pairs → unique match edges (a_id, b_id), deduping the
-    cross-block duplicates. One hash-bucket shuffle keyed by the pair,
-    vectorized first-wins inside each bucket."""
-    import polars as pl
-
-    def _filter_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["is_match"], True)).select(
-            ["a_id", "b_id", "dist", "sim"]
-        )
-        df = pl.from_arrow(t)
-        df = df.with_columns(
-            ((pl.col("a_id").hash(seed=2) ^ pl.col("b_id").hash(seed=3))
-             % np.uint64(num_buckets)).cast(pl.Int32).alias("bucket")
-        )
-        return df.to_arrow()
-
-    def _dedup(batch: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(batch)
-            .unique(subset=["a_id", "b_id"], keep="first", maintain_order=True)
-            .drop("bucket")
-            .to_arrow()
-            .cast(
-                pa.schema(
-                    [("a_id", pa.string()), ("b_id", pa.string()),
-                     ("dist", pa.int64()), ("sim", pa.float64())]
-                )
-            )
-        )
-
-    from .shuffle import bucket_partition
-
-    return bucket_partition(
-        scored.map_batches(_filter_bucket, batch_format="pyarrow"),
-        _dedup, num_buckets,
-    )

@@ -16,6 +16,7 @@ encode entities. Everything derives from one numpy Generator seeded by
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from typing import Optional, Tuple
@@ -191,10 +192,22 @@ def _write_sharded(table: pa.Table, dir_path: str) -> None:
     os.replace(tmp, dir_path)
 
 
+def _generator_digest() -> str:
+    with open(__file__, "rb") as f:
+        return hashlib.blake2b(f.read(), digest_size=6).hexdigest()
+
+
+def fixture_dir(sf: float, seed: int = 42) -> str:
+    """Cache directory of the (sf, seed) fixture under ``FIXTURE_ROOT``.
+    The key includes a digest of this module's source, so a checkout with
+    a changed generator never reads a corpus another checkout wrote."""
+    return os.path.join(FIXTURE_ROOT, f"sf{sf}_s{seed}_{_generator_digest()}")
+
+
 def ensure_fixture(sf_dir: str, seed: int = 42) -> Tuple[str, str]:
     """Deterministically materialize the transcript fixture for a testdata
-    scale dir; returns (transcripts_path, labels_path). Cached under
-    /tmp/ta_ray_fixtures/sf{sf} keyed by (sf, seed).
+    scale dir; returns (transcripts_path, labels_path), cached under
+    :func:`fixture_dir`.
 
     Scales >= sf0.02 are written as a DIRECTORY of contiguous part files:
     Ray Data parallelizes parquet scans per FILE, so a single file — even
@@ -204,7 +217,7 @@ def ensure_fixture(sf_dir: str, seed: int = 42) -> Tuple[str, str]:
     scales stay single-file because the DuckDB oracle SQL references the
     file path directly."""
     sf = parse_sf(sf_dir)
-    out_dir = os.path.join(FIXTURE_ROOT, f"sf{sf}_s{seed}")
+    out_dir = fixture_dir(sf, seed)
     lp = os.path.join(out_dir, "labels.parquet")
     single = os.path.join(out_dir, "transcripts.parquet")
     sharded = os.path.join(out_dir, "transcripts_parts")
@@ -233,13 +246,24 @@ def ensure_fixture(sf_dir: str, seed: int = 42) -> Tuple[str, str]:
     return tp, lp
 
 
+def _footers(tp: str) -> list:
+    files = (
+        [os.path.join(tp, f) for f in os.listdir(tp) if f.endswith(".parquet")]
+        if os.path.isdir(tp) else [tp]
+    )
+    return [pq.read_metadata(f) for f in files]
+
+
 def count_rows(tp: str) -> int:
-    """Row count from parquet metadata for a fixture path (file or
-    sharded directory)."""
-    if os.path.isdir(tp):
-        return sum(
-            pq.read_metadata(os.path.join(tp, f)).num_rows
-            for f in os.listdir(tp)
-            if f.endswith(".parquet")
-        )
-    return pq.read_metadata(tp).num_rows
+    """Row count from parquet footers for a fixture path (file or sharded
+    directory)."""
+    return sum(m.num_rows for m in _footers(tp))
+
+
+def uncompressed_bytes(tp: str) -> int:
+    """Uncompressed data size from parquet footers (file or sharded
+    directory): a corpus size that needs no pass over the data."""
+    return sum(
+        m.row_group(i).total_byte_size
+        for m in _footers(tp) for i in range(m.num_row_groups)
+    )

@@ -52,10 +52,11 @@ from ..ops.windows import sessionize, tumbling_window_agg
 from ..pipeline.docs import build_docs
 from ..pipeline.pairs import _bucket_to_pairs
 from ..pipeline.score import PairScorer
-from ..pipeline.transcripts import ensure_fixture
+from ..pipeline.transcripts import ensure_fixture, fixture_dir
 
-# absolute fixture path at the driver's correctness scale (sf0.01, seed 42)
-FIXTURE_SF001 = "/tmp/ta_ray_fixtures/sf0.01_s42/transcripts.parquet"
+# absolute fixture path at the driver's correctness scale (sf0.01, seed 42);
+# the oracle SQL reads the same file that ensure_fixture writes
+FIXTURE_SF001 = os.path.join(fixture_dir(0.01, 42), "transcripts.parquet")
 MEDIA_FIXTURE = "/tmp/ta_ray_fixtures/media_n200_s42.parquet"
 MEDIA_PNG_FIXTURE = "/tmp/ta_ray_fixtures/media_png_n200_s42.parquet"
 MEDIA_TILES_FIXTURE = "/tmp/ta_ray_fixtures/media_tiles_n200_s43.parquet"
