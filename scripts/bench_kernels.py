@@ -11,11 +11,13 @@ ours, per batch-kernel call and per pair, single process. Run:
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 from triple_accel_ray.kernels import (  # noqa: E402
     SEARCH_ALL,

@@ -6,7 +6,8 @@ Usage: python scripts/check_queries.py sf_dir [query ...] [--json OUT.json]
 (options may come in any position; an unknown option is an error)
 
 With --json, writes a machine-readable per-query artifact (verdict, row
-counts, wall time) alongside the console output — the committed full-gate
+counts, engine wall time ``sec`` and DuckDB oracle wall time
+``oracle_sec``) alongside the console output — the committed full-gate
 record (GATE_LOCAL_r{N}.json) for queries outside the driver's 50-row
 correctness window.
 """
@@ -128,23 +129,28 @@ def main(argv=None):
             results[name] = {"status": "ROWS-ONLY", "rows": ours.num_rows,
                              "sec": round(dt, 2)}
             continue
+        t0 = time.perf_counter()
         try:
             theirs = con.sql(oracles[name]).fetch_arrow_table()
         except Exception as ex:
             print(f"[FAIL-SQL ] {name}: {type(ex).__name__}: {ex}")
             n_bad += 1
             results[name] = {"status": "FAIL-SQL", "rows": ours.num_rows,
+                             "oracle_sec": round(time.perf_counter() - t0, 2),
                              "detail": f"{type(ex).__name__}: {ex}"[:300]}
             continue
+        odt = time.perf_counter() - t0
         verdict = compare(name, ours, theirs)
         status = "OK" if verdict == "OK" else "FAIL-CMP"
         if verdict == "OK":
             n_ok += 1
         else:
             n_bad += 1
-        print(f"[{status:9s}] {name}: {ours.num_rows} rows ({dt:.1f}s) {'' if verdict=='OK' else verdict}")
+        print(f"[{status:9s}] {name}: {ours.num_rows} rows ({dt:.1f}s, "
+              f"oracle {odt:.1f}s) {'' if verdict=='OK' else verdict}")
         results[name] = {"status": status, "rows": ours.num_rows,
-                         "oracle_rows": theirs.num_rows, "sec": round(dt, 2)}
+                         "oracle_rows": theirs.num_rows, "sec": round(dt, 2),
+                         "oracle_sec": round(odt, 2)}
         if verdict != "OK":
             results[name]["detail"] = verdict[:300]
     print(f"\n{n_ok} ok, {n_bad} bad")

@@ -11,11 +11,13 @@ Usage: python scripts/diff_reference.py [n_cases_scale]
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
 
-sys.path.insert(0, "/root/repo")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 from triple_accel_ray.kernels import (  # noqa: E402
     EditCosts,

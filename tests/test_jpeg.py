@@ -332,3 +332,17 @@ def test_color_non_divisor_sampling_grid_decodes():
     out = jpeg_decode(_encode_color_custom(img, samp, (0, 1, 2)))
     assert out.shape == img.shape
     assert np.abs(out.astype(int) - img.astype(int)).max() <= 1
+
+
+def test_rejects_scan_listing_a_component_twice():
+    """A corrupted SOS header naming Cb twice (and Cr never) is refused,
+    not decoded as Cb data in Cr's place with a blank Cr plane."""
+    rng = np.random.default_rng(3)
+    img = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
+    buf = bytearray(jpeg_encode(img, subsampling="444"))
+    sos = buf.find(b"\xff\xda")
+    # FF DA Lh Ll Ns (C1 T1) (C2 T2) (C3 T3): set C3 = C2
+    assert buf[sos + 4] == 3
+    buf[sos + 9] = buf[sos + 7]
+    with pytest.raises(ValueError, match="twice"):
+        jpeg_decode(bytes(buf))

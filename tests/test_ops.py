@@ -816,7 +816,7 @@ def test_triangle_counts_vs_bruteforce(ray_session):
     import numpy as np
     import ray.data as rd
 
-    from triple_accel_ray.ops.graph import triangle_counts
+    from triple_accel_ray.ops.graph import triangle_counts_fast
 
     rng = np.random.default_rng(5)
     n = 120
@@ -845,32 +845,20 @@ def test_triangle_counts_vs_bruteforce(ray_session):
         "b_id": [e[1] for e in edges],
     })).repartition(5)
     got = {r["conv_id"]: r["n_triangles"]
-           for r in triangle_counts(ds, num_buckets=8).take_all()}
+           for r in triangle_counts_fast(ds, num_buckets=8).take_all()}
     assert got == dict(want)
     assert sum(want.values()) % 3 == 0 and len(want) > 0
-
-    # the raw-exchange twin must be bit-identical (skewed hub included)
-    from triple_accel_ray.ops.graph import triangle_counts_fast
-
-    got_f = {r["conv_id"]: r["n_triangles"]
-             for r in triangle_counts_fast(ds, num_buckets=8).take_all()}
-    assert got_f == dict(want)
 
 
 def test_triangle_counts_triangle_free(ray_session):
     """A path graph has no triangles -> empty output, no errors."""
     import ray.data as rd
 
-    from triple_accel_ray.ops.graph import triangle_counts
-
     from triple_accel_ray.ops.graph import triangle_counts_fast
 
     ds = rd.from_arrow(pa.table({
         "a_id": ["a", "b", "c"], "b_id": ["b", "c", "d"]}))
-    assert triangle_counts(ds, num_buckets=2).count() == 0
-    ds2 = rd.from_arrow(pa.table({
-        "a_id": ["a", "b", "c"], "b_id": ["b", "c", "d"]}))
-    assert triangle_counts_fast(ds2, num_buckets=2).count() == 0
+    assert triangle_counts_fast(ds, num_buckets=2).count() == 0
 
 
 def test_rollup_counts_vs_direct(ray_session):
@@ -1202,16 +1190,33 @@ def test_distinctive_terms_differential(ray_session):
     assert got == want
 
 
+def _naive_pagerank(el, n_iter=3, scale=10**12):
+    """Single-process replay of the integer floor-divide PageRank rule."""
+    de = [(a, b) for a, b in el] + [(b, a) for a, b in el]
+    deg = {}
+    for s, _ in de:
+        deg[s] = deg.get(s, 0) + 1
+    n = len(deg)
+    pr = {v: scale // n for v in deg}
+    base = (15 * (scale // n)) // 100
+    for _ in range(n_iter):
+        s = {v: 0 for v in deg}
+        for u, v in de:
+            s[v] += pr[u] // deg[u]
+        pr = {v: base + (85 * s[v]) // 100 for v in deg}
+    return pr
+
+
 def test_pagerank_integer_differential(ray_session):
     """Distributed integer PageRank equals a naive single-process
     replay of the same floor-divide rule on a random graph with a
     planted hub, plus invariance under a permuted/repartitioned edge
-    order."""
+    order and the bucket count."""
     import random
 
     import ray.data as rd
 
-    from triple_accel_ray.ops.graph import pagerank
+    from triple_accel_ray.ops.graph import pagerank_stationary
 
     rng = random.Random(7)
     nodes = [f"n{i:03d}" for i in range(40)]
@@ -1223,29 +1228,14 @@ def test_pagerank_integer_differential(ray_session):
         edges.add(("n000", f"n{i:03d}"))
     el = sorted(edges)
 
-    def naive(el, n_iter=3, scale=10**12):
-        de = [(a, b) for a, b in el] + [(b, a) for a, b in el]
-        deg = {}
-        for s, _ in de:
-            deg[s] = deg.get(s, 0) + 1
-        n = len(deg)
-        pr = {v: scale // n for v in deg}
-        base = (15 * (scale // n)) // 100
-        for _ in range(n_iter):
-            s = {v: 0 for v in deg}
-            for u, v in de:
-                s[v] += pr[u] // deg[u]
-            pr = {v: base + (85 * s[v]) // 100 for v in deg}
-        return pr
-
-    want = naive(el)
+    want = _naive_pagerank(el)
     t = pa.table({
         "a_id": pa.array([a for a, _ in el], pa.string()),
         "b_id": pa.array([b for _, b in el], pa.string()),
     })
     got = {r["conv_id"]: r["pr"]
-           for r in pagerank(rd.from_arrow(t).repartition(5),
-                             num_buckets=4).take_all()}
+           for r in pagerank_stationary(rd.from_arrow(t).repartition(5),
+                                        num_buckets=4).take_all()}
     assert got == want
 
     perm = el[::-1]
@@ -1254,22 +1244,15 @@ def test_pagerank_integer_differential(ray_session):
         "b_id": pa.array([b for _, b in perm], pa.string()),
     })
     got2 = {r["conv_id"]: r["pr"]
-            for r in pagerank(rd.from_arrow(t2).repartition(3),
-                              num_buckets=7).take_all()}
-    assert got2 == want
-
-    # stationary-graph twin (raw-Ray iterations, edges partitioned once)
-    # must be bit-identical on both orderings and bucket counts
-    from triple_accel_ray.ops.graph import pagerank_stationary
-
-    got3 = {r["conv_id"]: r["pr"]
-            for r in pagerank_stationary(rd.from_arrow(t).repartition(5),
-                                         num_buckets=4).take_all()}
-    assert got3 == want
-    got4 = {r["conv_id"]: r["pr"]
             for r in pagerank_stationary(rd.from_arrow(t2).repartition(3),
                                          num_buckets=7).take_all()}
-    assert got4 == want
+    assert got2 == want
+
+    # zero iterations: every node keeps the initial rank scale // N
+    got0 = {r["conv_id"]: r["pr"]
+            for r in pagerank_stationary(rd.from_arrow(t).repartition(5),
+                                         n_iter=0, num_buckets=4).take_all()}
+    assert got0 == _naive_pagerank(el, n_iter=0)
 
 
 def test_profile_columns_adversarial(ray_session):
@@ -1945,13 +1928,72 @@ def test_kcore_stationary_vs_bruteforce(ray_session):
             deg[b] = deg.get(b, 0) + 1
         return {x: deg.get(x, 0) for x in alive}
 
-    for k, rounds in [(2, 3), (3, 2), (2, 10)]:
+    for k, rounds in [(2, 3), (3, 2), (2, 10), (2, 0)]:
         want = brute(k, rounds)
         got = {r["conv_id"]: r["core_deg"]
                for r in kcore_stationary(
                    rd.from_arrow(t).repartition(4), k=k, rounds=rounds,
                    num_buckets=4).take_all()}
         assert got == want, (k, rounds)
+
+
+_SMALL_GRAPH = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("e", "f")]
+
+
+def _graph_op_case(op):
+    """(run(edges_ds, num_buckets) -> Dataset, output columns, expected
+    rows on _SMALL_GRAPH plus the isolated node g) for one graph op."""
+    import ray.data as rd
+
+    from triple_accel_ray.ops.graph import (kcore_stationary,
+                                            pagerank_stationary,
+                                            triangle_counts_fast)
+    from triple_accel_ray.pipeline.cluster import connected_components
+
+    nodes = rd.from_arrow(pa.table({"conv_id": list("abcdefg")}))
+    if op == "connected_components":
+        return (lambda e, nb: connected_components(e, nodes,
+                                                   num_partitions=nb),
+                ["conv_id", "cluster_id"],
+                {"a": "a", "b": "a", "c": "a", "d": "a", "e": "e",
+                 "f": "e", "g": "g"})
+    if op == "pagerank_stationary":
+        return (lambda e, nb: pagerank_stationary(e, num_buckets=nb),
+                ["conv_id", "pr"], _naive_pagerank(_SMALL_GRAPH))
+    if op == "kcore_stationary":
+        # d, e, f peel in round 1; the triangle survives at degree 2
+        return (lambda e, nb: kcore_stationary(e, k=2, rounds=3,
+                                               num_buckets=nb),
+                ["conv_id", "core_deg"], {"a": 2, "b": 2, "c": 2})
+    return (lambda e, nb: triangle_counts_fast(e, num_buckets=nb),
+            ["conv_id", "n_triangles"], {"a": 1, "b": 1, "c": 1})
+
+
+@pytest.mark.parametrize("op", ["connected_components", "pagerank_stationary",
+                                "kcore_stationary", "triangle_counts_fast"])
+def test_graph_engine_empty_edges_and_one_bucket(ray_session, op):
+    """Every op on the shared exchange engine: empty edge input gives its
+    typed empty output (connected components: all singletons), and one
+    requested bucket gives the exact answer."""
+    import ray.data as rd
+
+    run, cols, want = _graph_op_case(op)
+    empty = rd.from_arrow(pa.table({"a_id": pa.array([], pa.string()),
+                                    "b_id": pa.array([], pa.string())}))
+    out = run(empty, 4)
+    assert out.schema().names == cols
+    rows = out.take_all()
+    if op == "connected_components":
+        assert sorted((r["conv_id"], r["cluster_id"]) for r in rows) == [
+            (c, c) for c in "abcdefg"]
+    else:
+        assert rows == []
+
+    edges = rd.from_arrow(pa.table({
+        "a_id": [a for a, _ in _SMALL_GRAPH],
+        "b_id": [b for _, b in _SMALL_GRAPH]})).repartition(2)
+    got = {r[cols[0]]: r[cols[1]] for r in run(edges, 1).take_all()}
+    assert got == want
 
 
 def test_event_transitions_vs_bruteforce(ray_session):

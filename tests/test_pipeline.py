@@ -318,17 +318,14 @@ def test_connected_components_three_way_differential(ray_session):
     """Stationary engine == driver union-find on a DEEP random graph
     (chains welded by random bridges — components whose diameter far
     exceeds the edge-hop count; the pointer-jumping shortcut must close
-    them in O(log d) iterations), and the Dataset-join twin == union-find
-    on a shallower graph (its per-iteration cost makes deep graphs a
-    test-budget problem, which is exactly why the stationary engine is
-    the default)."""
+    them in O(log d) iterations), and on a shallower bridge-free graph
+    at other block and bucket counts."""
     import random
 
     import ray.data as rd
 
     from triple_accel_ray.pipeline.cluster import (
         connected_components,
-        connected_components_dataset,
         connected_components_local,
     )
 
@@ -365,11 +362,11 @@ def test_connected_components_three_way_differential(ray_session):
              .to_pandas().sort_values("conv_id").reset_index(drop=True))
     assert got_s.equals(want)
 
-    # shallow graph: Dataset twin vs union-find
+    # shallow graph: stationary engine vs union-find
     et2, nt2 = build_graph(150, 4, 0, seed=29)
     want2 = (connected_components_local(et2, nt2).to_pandas()
              .sort_values("conv_id").reset_index(drop=True))
-    got_d = (connected_components_dataset(
+    got_d = (connected_components(
                  rd.from_arrow(et2).repartition(3),
                  rd.from_arrow(nt2).repartition(2), num_partitions=4)
              .to_pandas().sort_values("conv_id").reset_index(drop=True))

@@ -599,6 +599,10 @@ def jpeg_decode(buf: bytes) -> np.ndarray:
                 if cs not in by_id:
                     raise ValueError("jpeg: scan references unknown component")
                 scan.append((by_id[cs], tt >> 4, tt & 0x0F))
+            if len({ci for ci, _, _ in scan}) != ns:
+                # the MCU loop would decode one component's data units
+                # twice per MCU and never fill the other's
+                raise ValueError("jpeg: scan lists a component twice")
             j = i + 2 + ln
             k = j
             while k < len(buf) - 1:

@@ -1,49 +1,44 @@
 """Stage 5: match edges → transitive clusters (connected components).
 
-Distributed path (default, round-4 stationary engine): per-block
+Distributed path (:func:`connected_components`): per-block
 pre-contraction to star edges, then min-label propagation over
-hash-partitioned RESIDENT buckets — per iteration each bucket joins its
-own edges against its own label slice locally and ships only
-(destination, min label) id-width messages, followed by a
+hash-partitioned RESIDENT buckets. Each round is two
+``shuffle.raw_exchange`` calls over the same buckets: a propagate
+exchange (each bucket joins its own edges against its own label slice
+and ships only (destination, min label) id-width messages), then a
 pointer-jumping exchange (label ← min(label, label[label])) that closes
 deep components in O(log diameter) rounds. Convergence is exact: a
 propagate round in which zero labels decreased is a fixpoint (labels
 equal across every edge force one constant per component, necessarily
-the min member id). Measured sf1.0 (381k edges): 2.4 s vs 27-31 s for
-the per-iteration Dataset-join formulation, which is kept as
-``connected_components_dataset`` for differential testing.
+the min member id). Measured sf1.0 (381k edges): 2.4 s vs 27-31 s for a
+per-iteration Dataset-join formulation.
 
-Local path: driver-side union-find for edge sets below a configured cap —
-used by tests/oracles and as the small-graph shortcut, never for scale.
+Local path (:func:`connected_components_local`): driver-side
+vectorized union-find for edge sets below a configured cap — the
+small-graph shortcut and the tests' oracle, never for scale.
 
 cluster_id = min conv_id of the component (deterministic, shuffle-proof).
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import polars as pl
 import pyarrow as pa
 
-from ray.data.aggregate import Min, Sum
+from .shuffle import counter_totals, gather, raw_exchange, route
+
+_SEED = 71  # owner bucket of a node: hash(node, _SEED) % B
 
 
-def _label_checksum_batch(batch: pa.Table) -> pa.Table:
-    df = pl.from_arrow(batch)
-    h = (
-        (df["node"].hash(seed=11) ^ df["label"].hash(seed=12))
-        .cast(pl.UInt64)
-        .sum()
-    )
-    return pa.table({"checksum": pa.array([int(h or 0) & ((1 << 64) - 1)], pa.uint64())})
+def _owner(col: str) -> pl.Expr:
+    return pl.col(col).hash(seed=_SEED)
 
 
-def _checksum(labels) -> int:
-    part = labels.map_batches(_label_checksum_batch, batch_format="pyarrow")
-    total = 0
-    for row in part.iter_rows():
-        total = (total + row["checksum"]) & ((1 << 64) - 1)
-    return total
+def _str_frame(*cols) -> pl.DataFrame:
+    return pl.DataFrame(schema={c: pl.String for c in cols})
 
 
 def _contract_block(t: pa.Table) -> pa.Table:
@@ -90,6 +85,123 @@ def _nonconverged(max_iters: int):
         f"stale (multiple labels may remain); raise max_iters")
 
 
+# ---- raw_exchange map/reduce functions of connected_components ------
+
+def _edges_map(t: pa.Table):
+    """Edge block → its local star edges, routed to owner(node)."""
+    # empty upstream blocks (e.g. an empty bucket_join output) can
+    # carry an EMPTY schema — treat them as no edges
+    if t.num_rows == 0 or "a_id" not in t.schema.names:
+        return _str_frame("node", "nbr"), _owner("node")
+    return pl.from_arrow(_contract_block(t)), _owner("node")
+
+
+def _nodes_map(t: pa.Table):
+    if t.num_rows == 0 or "conv_id" not in t.schema.names:
+        return _str_frame("node"), _owner("node")
+    return (pl.from_arrow(t.select(["conv_id"])).rename({"conv_id": "node"}),
+            _owner("node"))
+
+
+def _build_edges(b, parts, *_):
+    ed = gather(parts)
+    if ed is None:
+        e = pa.array([], pa.string())
+        return pa.table({"node": e, "nbr": e})
+    return ed.to_arrow()
+
+
+def _init_labels(b, parts, *_):
+    nd = gather(parts)
+    if nd is None:
+        e = pa.array([], pa.string())
+        return pa.table({"node": e, "label": e,
+                         "dirty": pa.array([], pa.bool_())})
+    return nd.unique("node").select("node", label=pl.col("node"),
+                                    dirty=pl.lit(True)).to_arrow()
+
+
+def _propagate_map(edge_t: pa.Table, lab_t: pa.Table):
+    """One bucket's propagate pass: local join (all edge ``node``s hash
+    here by construction), min per destination, routed to the
+    destination's owner — the only shuffled payload.
+
+    DELTA propagation: only DIRTY sources — nodes whose label decreased
+    since their last emission — send. Min-label propagation is
+    monotone, so an unchanged source's messages are identical to ones
+    the destination already folded in; skipping them cannot lose a
+    minimum. This is what makes per-iteration shuffle volume track the
+    shrinking changed set (telescope) instead of staying O(edges) every
+    round — a soak measured the non-delta engine shipping a constant
+    4.4M rows/iteration for 16 rounds on a 2.28M-edge graph."""
+    if edge_t.num_rows == 0:
+        return _str_frame("nbr", "ml"), _owner("nbr")
+    ed = pl.from_arrow(edge_t)
+    lb = pl.from_arrow(lab_t).filter(pl.col("dirty"))
+    out = (
+        ed.join(lb.select("node", "label"), on="node", how="inner")
+        .group_by("nbr").agg(ml=pl.col("label").min())
+    )
+    return out, _owner("nbr")
+
+
+def _merge_minima(b, msg_parts, lab_t: pa.Table, counters: dict, *,
+                  keep_dirty: bool):
+    """Merge inbound minima into the resident label slice and count the
+    labels that decreased (``changed``, the exact convergence signal).
+    ``dirty`` marks labels that decreased and still owe a propagate
+    emission: the propagate reduce REPLACES it (an emission just
+    consumed the old flag), the jump reduce ORs into it (jump changes
+    happen between emissions and must not clear a pending one)."""
+    counters["changed"] = 0
+    msg = gather(msg_parts)
+    if msg is None or lab_t.num_rows == 0:
+        if lab_t.num_rows and not keep_dirty:
+            lab_t = (pl.from_arrow(lab_t)
+                     .with_columns(dirty=pl.lit(False)).to_arrow())
+        return lab_t
+    msg = (msg.group_by("nbr").agg(ml=pl.col("ml").min())
+           .rename({"nbr": "node"}))
+    j = pl.from_arrow(lab_t).join(msg, on="node", how="left")
+    dec = pl.col("ml").is_not_null() & (pl.col("ml") < pl.col("label"))
+    new = j.select(
+        "node",
+        label=pl.min_horizontal("label", "ml"),  # null ml -> label
+        dirty=(pl.col("dirty") | dec) if keep_dirty else dec,
+    )
+    counters["changed"] = int((new["label"] != j["label"]).sum())
+    return new.to_arrow()
+
+
+# ---- pointer-jumping round (label <- label[label]) ------------------
+# One edge hop per iteration makes min-label O(diameter); composing each
+# hop with a pointer jump makes it O(log diameter) — the classic
+# shortcutting step, done as a (query, answer, apply) pair of exchanges
+# over the SAME stationary buckets. Deep components (long chains) exist
+# at 100 TB even when duplicate clusters are shallow.
+
+def _jump_query(lab_t: pa.Table):
+    """(node, label) -> (lq = label, node) queries routed to owner(lq):
+    ask the bucket owning my label for ITS label. Self-labeled nodes
+    (label == node) resolve locally — skip."""
+    q = (pl.from_arrow(lab_t)
+         .filter(pl.col("dirty") & (pl.col("label") != pl.col("node")))
+         .select(lq=pl.col("label"), node=pl.col("node")))
+    return q, _owner("lq")
+
+
+def _jump_answer(lab_t: pa.Table, *q_parts):
+    """Resolve label(lq) from the resident slice and route the answer
+    back to the querying node's owner."""
+    q = gather(q_parts)
+    if q is None or lab_t.num_rows == 0:
+        return _str_frame("nbr", "ml"), _owner("nbr")
+    lb = pl.from_arrow(lab_t).rename({"node": "lq", "label": "ml"})
+    out = (q.join(lb, on="lq", how="inner")
+           .select(nbr=pl.col("node"), ml=pl.col("ml")))
+    return out, _owner("nbr")
+
+
 def connected_components(
     edges,
     nodes,
@@ -101,22 +213,17 @@ def connected_components(
 
     ``nodes`` must contain every conv_id (singletons keep their own id).
 
-    Round-4 STATIONARY engine (the pagerank_stationary shape —
-    ops/graph.py measured it 7.2x over per-iteration Dataset joins, and
-    the Dataset twin of THIS function measured 11-13 s per iteration at
-    sf1.0 against sub-second here): edge blocks are locally
-    pre-contracted to star edges (:func:`_contract_block`), then
-    hash(node)-partitioned ONCE into per-bucket Arrow tables that stay
-    in the object store; per iteration each bucket joins its resident
-    edges against its resident label slice locally and ships only
-    (nbr, min label) id-width messages to the owning buckets.
-    Convergence is exact — the per-bucket reduce reports how many
-    labels decreased; zero changes across all buckets is the fixpoint
-    (no checksum pass). Labels only ever decrease, and the min is
-    lexicographic on conv_id, so cluster_id = min conv_id of the
-    component, identical to the Dataset twin
-    (:func:`connected_components_dataset`, kept for differential
-    tests) and to :func:`connected_components_local`.
+    STATIONARY engine: edge blocks are locally pre-contracted to star
+    edges (:func:`_contract_block`), then hash(node)-partitioned ONCE
+    into per-bucket Arrow tables that stay in the object store; per
+    iteration each bucket joins its resident edges against its resident
+    label slice locally and ships only (nbr, min label) id-width
+    messages to the owning buckets. Convergence is exact — each
+    propagate reduce reports how many labels decreased; zero changes
+    across all buckets is the fixpoint (no checksum pass). Labels only
+    ever decrease, and the min is lexicographic on conv_id, so
+    cluster_id = min conv_id of the component, identical to
+    :func:`connected_components_local`.
 
     Labels propagate one hop per iteration, so convergence needs up to
     the CONTRACTED component diameter iterations; if the fixpoint is
@@ -131,203 +238,16 @@ def connected_components(
     # The message volume telescopes: after pre-contraction each round
     # ships at most one (nbr, min) row per resident edge endpoint, and
     # once a region stabilizes its minima stop changing, so volumes
-    # shrink toward the fixpoint — the bound the 100 TB design relies
-    # on, now measurable (round-5 soak artifact).
-    import ray
+    # shrink toward the fixpoint.
     import ray.data as rd
 
-    B = max(2, int(num_partitions))
-    SEED = 71
-
-    def _empty_split(cols):
-        z = pa.table({c: pa.array([], pa.string()) for c in cols})
-        return tuple(z for _ in range(B))
-
-    @ray.remote
-    def _split_edges(t: pa.Table):
-        # empty upstream blocks (e.g. an empty bucket_join output) can
-        # carry an EMPTY schema — treat them as no edges
-        if t.num_rows == 0 or "a_id" not in t.schema.names:
-            return _empty_split(["node", "nbr"])
-        sym = _contract_block(t)
-        df = pl.from_arrow(sym).with_columns(
-            b=(pl.col("node").hash(seed=SEED) % np.uint64(B)).cast(pl.Int32))
-        parts = df.partition_by("b", as_dict=True, include_key=False)
-        return tuple(
-            parts.get((b,), df.clear().drop("b")).to_arrow()
-            for b in range(B)
-        )
-
-    @ray.remote
-    def _split_nodes(t: pa.Table):
-        if t.num_rows == 0 or "conv_id" not in t.schema.names:
-            return _empty_split(["node"])
-        df = pl.from_arrow(t.select(["conv_id"])).rename(
-            {"conv_id": "node"}).with_columns(
-            b=(pl.col("node").hash(seed=SEED) % np.uint64(B)).cast(pl.Int32))
-        parts = df.partition_by("b", as_dict=True, include_key=False)
-        return tuple(
-            parts.get((b,), df.clear().drop("b")).to_arrow()
-            for b in range(B)
-        )
-
-    @ray.remote
-    def _build_edges(*parts):
-        tabs = [p for p in parts if p.num_rows]
-        if not tabs:
-            e = pa.array([], pa.string())
-            return pa.table({"node": e, "nbr": e})
-        return pa.concat_tables(tabs)
-
-    @ray.remote
-    def _init_labels(*parts):
-        tabs = [p for p in parts if p.num_rows]
-        if not tabs:
-            e = pa.array([], pa.string())
-            return pa.table({"node": e, "label": e,
-                             "dirty": pa.array([], pa.bool_())})
-        df = pl.from_arrow(pa.concat_tables(tabs)).unique("node")
-        return df.select("node", label=pl.col("node"),
-                         dirty=pl.lit(True)).to_arrow()
-
-    @ray.remote
-    def _iter_map(edge_t: pa.Table, lab_t: pa.Table):
-        """One bucket's propagate pass: local join (all edge ``node``s
-        hash here by construction), min per destination, split by the
-        destination's owning bucket — the only shuffled payload.
-
-        DELTA propagation (round 5): only DIRTY sources — nodes whose
-        label decreased since their last emission — send. Min-label
-        propagation is monotone, so an unchanged source's messages are
-        identical to ones the destination already folded in; skipping
-        them cannot lose a minimum. This is what makes per-iteration
-        shuffle volume track the shrinking changed set (telescope)
-        instead of staying O(edges) every round — the round-5 big soak
-        measured the non-delta engine shipping a constant 4.4M
-        rows/iteration for 16 rounds on a 2.28M-edge graph."""
-        if edge_t.num_rows == 0:
-            z = pa.table({"nbr": pa.array([], pa.string()),
-                          "ml": pa.array([], pa.string())})
-            return tuple(z for _ in range(B))
-        ed = pl.from_arrow(edge_t)
-        lb = pl.from_arrow(lab_t).filter(pl.col("dirty"))
-        out = (
-            ed.join(lb.select("node", "label"), on="node", how="inner")
-            .group_by("nbr").agg(ml=pl.col("label").min())
-            .with_columns(b=(pl.col("nbr").hash(seed=SEED)
-                             % np.uint64(B)).cast(pl.Int32))
-        )
-        parts = out.partition_by("b", as_dict=True, include_key=False)
-        return tuple(
-            parts.get((b,), out.clear().drop("b")).to_arrow()
-            for b in range(B)
-        )
-
-    def _make_reduce(keep_dirty: bool):
-        @ray.remote(num_returns=3)
-        def _iter_reduce(lab_t: pa.Table, *msg_parts):
-            """Merge inbound minima into the resident label slice;
-            returns (new labels, #labels that decreased, #inbound
-            message rows) — exact convergence signal plus
-            shuffle-volume telemetry. ``dirty`` marks labels that
-            decreased and still owe a propagate emission: the
-            propagate reduce REPLACES it (an emission just consumed
-            the old flag), the jump reduce ORs into it (jump changes
-            happen between emissions and must not clear a pending
-            one)."""
-            n_msg = sum(p.num_rows for p in msg_parts)
-            tabs = [p for p in msg_parts if p.num_rows]
-            if not tabs or lab_t.num_rows == 0:
-                if lab_t.num_rows and not keep_dirty:
-                    lab_t = (
-                        pl.from_arrow(lab_t)
-                        .with_columns(dirty=pl.lit(False)).to_arrow())
-                return lab_t, 0, n_msg
-            msg = (
-                pl.from_arrow(pa.concat_tables(tabs))
-                .group_by("nbr").agg(ml=pl.col("ml").min())
-                .rename({"nbr": "node"})
-            )
-            j = pl.from_arrow(lab_t).join(msg, on="node", how="left")
-            dec = pl.col("ml").is_not_null() & (pl.col("ml")
-                                                < pl.col("label"))
-            new = j.select(
-                "node",
-                label=pl.min_horizontal("label", "ml"),  # null ml -> label
-                dirty=(pl.col("dirty") | dec) if keep_dirty else dec,
-            )
-            changed = int((new["label"] != j["label"]).sum())
-            return new.to_arrow(), changed, n_msg
-        return _iter_reduce
-
-    _reduce_propagate = _make_reduce(keep_dirty=False)
-    _reduce_jump = _make_reduce(keep_dirty=True)
-
-    # ---- pointer-jumping round (label <- label[label]) --------------
-    # One edge hop per iteration makes min-label O(diameter); composing
-    # each hop with a pointer jump makes it O(log diameter) — the
-    # classic shortcutting step, done as its own (query, answer, apply)
-    # exchange over the SAME stationary buckets. Deep components (long
-    # chains) exist at 100 TB even when duplicate clusters are shallow.
-
-    @ray.remote
-    def _jump_query(lab_t: pa.Table):
-        """(node, label) -> per-owner (lq = label, node) queries, keyed
-        by hash(label): ask the bucket owning my label for ITS label.
-        Self-labeled nodes (label == node) resolve locally — skip."""
-        if lab_t.num_rows == 0:
-            z = pa.table({"lq": pa.array([], pa.string()),
-                          "node": pa.array([], pa.string())})
-            return tuple(z for _ in range(B))
-        df = (
-            pl.from_arrow(lab_t)
-            .filter(pl.col("dirty") & (pl.col("label") != pl.col("node")))
-            .select(lq=pl.col("label"), node=pl.col("node"))
-            .with_columns(b=(pl.col("lq").hash(seed=SEED)
-                             % np.uint64(B)).cast(pl.Int32))
-        )
-        parts = df.partition_by("b", as_dict=True, include_key=False)
-        return tuple(
-            parts.get((b,), df.clear().drop("b")).to_arrow()
-            for b in range(B)
-        )
-
-    @ray.remote
-    def _jump_answer(lab_t: pa.Table, *q_parts):
-        """Resolve label(lq) from the resident slice and route the
-        answer back to the querying node's owner bucket."""
-        tabs = [p for p in q_parts if p.num_rows]
-        if not tabs or lab_t.num_rows == 0:
-            z = pa.table({"nbr": pa.array([], pa.string()),
-                          "ml": pa.array([], pa.string())})
-            return tuple(z for _ in range(B))
-        q = pl.from_arrow(pa.concat_tables(tabs))
-        lb = pl.from_arrow(lab_t).rename({"node": "lq", "label": "ml"})
-        out = (
-            q.join(lb, on="lq", how="inner")
-            .select(nbr=pl.col("node"), ml=pl.col("ml"))
-            .with_columns(b=(pl.col("nbr").hash(seed=SEED)
-                             % np.uint64(B)).cast(pl.Int32))
-        )
-        parts = out.partition_by("b", as_dict=True, include_key=False)
-        return tuple(
-            parts.get((b,), out.clear().drop("b")).to_arrow()
-            for b in range(B)
-        )
-
-    e_splits = [_split_edges.options(num_returns=B).remote(r)
-                for r in edges.to_arrow_refs()]
-    n_splits = [_split_nodes.options(num_returns=B).remote(r)
-                for r in nodes.to_arrow_refs()]
-    if not n_splits:
+    B = num_partitions
+    node_refs = nodes.to_arrow_refs()
+    if not node_refs:
         return rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
                                        "cluster_id": pa.array([], pa.string())}))
-    if not e_splits:
-        eb = [_build_edges.remote() for _ in range(B)]
-    else:
-        eb = [_build_edges.remote(*[s[b] for s in e_splits])
-              for b in range(B)]
-    lb = [_init_labels.remote(*[s[b] for s in n_splits]) for b in range(B)]
+    eb, _ = raw_exchange(edges.to_arrow_refs(), _edges_map, _build_edges, B)
+    lb, _ = raw_exchange(node_refs, _nodes_map, _init_labels, B)
 
     if stats is not None:
         stats.setdefault("propagate_msg_rows", [])
@@ -335,18 +255,14 @@ def connected_components(
         stats.setdefault("changed", [])
     for _ in range(max_iters):
         # propagate: one edge hop
-        msgs = [_iter_map.options(num_returns=B).remote(eb[b], lb[b])
-                for b in range(B)]
-        outs = [_reduce_propagate.remote(
-                    lb[b], *[msgs[m][b] for m in range(B)])
-                for b in range(B)]
-        lb = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
+        lb, counts = raw_exchange(
+            list(zip(eb, lb)), _propagate_map,
+            partial(_merge_minima, keep_dirty=False), B, extra=lb)
+        tot = counter_totals(counts)
         if stats is not None:
-            stats["propagate_msg_rows"].append(
-                sum(ray.get([o[2] for o in outs])))
-            stats["changed"].append(changed)
-        if changed == 0:
+            stats["propagate_msg_rows"].append(tot["rows"])
+            stats["changed"].append(tot["changed"])
+        if tot["changed"] == 0:
             # a propagate fixpoint alone proves full convergence: equal
             # labels across every edge (both directions are present)
             # force one constant per component, and that constant can
@@ -354,90 +270,22 @@ def connected_components(
             if stats is not None:
                 stats["jump_msg_rows"].append(0)
             break
-        # shortcut: label <- min(label, label[label]) — pointer jump
-        qs = [_jump_query.options(num_returns=B).remote(lb[b])
-              for b in range(B)]
-        ans = [_jump_answer.options(num_returns=B).remote(
-                   lb[b], *[qs[m][b] for m in range(B)])
-               for b in range(B)]
-        outs = [_reduce_jump.remote(lb[b], *[ans[m][b] for m in range(B)])
-                for b in range(B)]
-        lb = [o[0] for o in outs]
+        # shortcut: label <- min(label, label[label]) — pointer jump.
+        # The answer step gathers bucket b's queries and routes its
+        # answers in one task, so it is the map of the apply exchange.
+        queries = route(lb, _jump_query, B)
+        lb, counts = raw_exchange(
+            [(lab, *[q[b] for q in queries]) for b, lab in enumerate(lb)],
+            _jump_answer, partial(_merge_minima, keep_dirty=True), B,
+            extra=lb)
         if stats is not None:
-            stats["jump_msg_rows"].append(
-                sum(ray.get([o[2] for o in outs])))
+            stats["jump_msg_rows"].append(counter_totals(counts)["rows"])
         # jump changes don't gate exit: convergence is only declared by
         # a zero-change PROPAGATE round (see proof above)
     else:
         _nonconverged(max_iters)
 
     return rd.from_arrow_refs(lb).map_batches(
-        lambda t: pa.table({"conv_id": t["node"], "cluster_id": t["label"]}),
-        batch_format="pyarrow",
-    )
-
-
-def connected_components_dataset(
-    edges,
-    nodes,
-    num_partitions: int = 32,
-    max_iters: int = 25,
-):
-    """Dataset-API twin of :func:`connected_components` (per-iteration
-    bucket_join + groupby-min, convergence by label checksum) — kept as
-    the differential reference: every Dataset join re-shuffles both
-    sides each iteration, which measured 11-13 s per iteration at sf1.0
-    vs sub-second for the stationary engine.
-    """
-    import ray
-
-    sym = edges.map_batches(_contract_block,
-                            batch_format="pyarrow").materialize()
-
-    labels = nodes.map_batches(
-        lambda t: pa.table({"node": t["conv_id"], "label": t["conv_id"]}),
-        batch_format="pyarrow",
-    ).materialize()
-
-    from .shuffle import bucket_join
-
-    sym_schema = pa.schema([("node", pa.string()), ("nbr", pa.string())])
-    lab_schema = pa.schema([("lnode", pa.string()), ("label", pa.string())])
-
-    prev_sum = _checksum(labels)
-    for it in range(max_iters):
-        # neighbor labels: bucket_join sym.nbr == labels.node — the same
-        # partitioned hash join as every other stage (the built-in
-        # Dataset.join spawns per-partition aggregator actors, a poor fit
-        # repeated once per fixpoint iteration; see shuffle.py)
-        lab_renamed = labels.map_batches(
-            lambda t: pa.table({"lnode": t["node"], "label": t["label"]}),
-            batch_format="pyarrow",
-        )
-        msgs = bucket_join(
-            sym, lab_renamed,
-            left_key="nbr", right_key="lnode",
-            left_schema=sym_schema, right_schema=lab_schema,
-            num_buckets=num_partitions,
-        ).map_batches(
-            lambda t: pa.table({"node": t["node"], "label": t["label"]}),
-            batch_format="pyarrow",
-        )
-        new_labels = (
-            msgs.union(labels)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .materialize()
-        )
-        new_sum = _checksum(new_labels)
-        labels = new_labels
-        if new_sum == prev_sum:
-            break
-        prev_sum = new_sum
-    else:
-        _nonconverged(max_iters)
-
-    return labels.map_batches(
         lambda t: pa.table({"conv_id": t["node"], "cluster_id": t["label"]}),
         batch_format="pyarrow",
     )

@@ -1,4 +1,11 @@
-"""Generic partitioned hash join built from Ray Data primitives.
+"""Bucket routing: the one place that knows how rows are split into
+hash buckets and shipped between tasks.
+
+Two forms. ``hash_split``/``route``/``raw_exchange`` move
+object-store-resident Arrow parts between plain Ray tasks; they carry
+every build and round of the graph operators (connected components,
+PageRank, k-core, triangle counts), whose per-row work is too small to
+pay for a Dataset all-to-all per round.
 
 ``bucket_join(left, right, ...)`` tags each side, unions them, hash-buckets
 by key, and performs a vectorized polars join inside each bucket — one
@@ -14,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import polars as pl
 import pyarrow as pa
+import ray
 
 
 def bucket_partition(ds, fn, num_buckets: int, *, bucket_col: str = "bucket",
@@ -62,42 +70,106 @@ def bucket_partition(ds, fn, num_buckets: int, *, bucket_col: str = "bucket",
     )
 
 
-def raw_exchange(refs, map_fn, reduce_fn, num_buckets: int, extra=None):
+def hash_split(df: pl.DataFrame, bucket_expr: pl.Expr,
+               num_buckets: int) -> tuple:
+    """Split ``df`` into ``num_buckets`` Arrow tables: row r goes to
+    bucket ``bucket_expr(r) % num_buckets`` (``bucket_expr`` is a UInt64
+    hash, e.g. ``pl.col("node").hash(seed=71)``). Empty buckets are
+    typed like ``df``, and rows keep their order within a bucket."""
+    df = df.with_columns(
+        __b=(bucket_expr % np.uint64(num_buckets)).cast(pl.Int32))
+    parts = df.partition_by("__b", as_dict=True, include_key=False)
+    empty = df.clear().drop("__b")
+    return tuple(parts.get((b,), empty).to_arrow()
+                 for b in range(num_buckets))
+
+
+def gather(payloads) -> pl.DataFrame | None:
+    """A reduce's non-empty inbound payloads as one polars frame; None
+    when every payload is empty."""
+    tabs = [p for p in payloads if p.num_rows]
+    return pl.from_arrow(pa.concat_tables(tabs)) if tabs else None
+
+
+def _exchange_map(map_fn, num_buckets, *args):
+    df, bucket_expr = map_fn(*args)
+    return hash_split(df, bucket_expr, num_buckets)
+
+
+def _exchange_reduce(reduce_fn, b, extra_b, *payloads):
+    counters = {"rows": sum(p.num_rows for p in payloads)}
+    return reduce_fn(b, payloads, extra_b, counters), counters
+
+
+_map_task = ray.remote(_exchange_map)
+_reduce_task = ray.remote(num_returns=2)(_exchange_reduce)
+
+
+def _fan_out(num_buckets: int) -> int:
+    return max(2, int(num_buckets))  # num_returns=1 returns a bare ref
+
+
+def route(inputs, map_fn, num_buckets: int) -> list:
+    """The map half of :func:`raw_exchange`: one task per input, each
+    returning its B routed payloads. Returns the ``[m][b]`` grid of
+    refs, for a caller whose next step both gathers column b and routes
+    again (connected components' pointer-jump answer)."""
+    B = _fan_out(num_buckets)
+    return [
+        _map_task.options(num_returns=B).remote(
+            map_fn, B, *(a if isinstance(a, tuple) else (a,)))
+        for a in inputs
+    ]
+
+
+def raw_exchange(inputs, map_fn, reduce_fn, num_buckets: int, extra=None):
     """One lean map/reduce exchange over object-store-resident parts,
-    bypassing the Dataset sort machinery: ``map_fn(part) -> tuple of B
-    payloads`` fans each input part out with ``num_returns=B`` (payload b
-    is routed to reduce task b without ever leaving the object store);
-    ``reduce_fn(b, payloads, extra_b) -> payload`` combines the b-th slice
-    of every map output (``extra`` is an optional B-list of per-bucket
-    side inputs — refs are dereferenced by Ray; None when absent).
-    Returns the B reduce ObjectRefs.
+    bypassing the Dataset sort machinery. This is the iteration engine of
+    the graph operators: each build and each round of connected
+    components, PageRank, k-core and triangle counting is one call.
+
+    - ``inputs``: one entry per map task, an argument or a tuple of
+      arguments (refs are dereferenced by Ray).
+    - ``map_fn(*args) -> (polars frame, bucket_expr)``: the frame is
+      split by :func:`hash_split`, so payload b goes to reduce task b
+      without leaving the object store.
+    - ``reduce_fn(b, payloads, extra_b, counters) -> payload`` combines
+      the b-th payload of every map task. ``extra`` is an optional B-list
+      of per-bucket side inputs (None when absent); ``counters`` arrives
+      holding ``rows``, the inbound payload rows, and the reduce may add
+      its own integer counters to it.
+
+    B = ``max(2, num_buckets)``. Returns ``(outs, counters)``: the B
+    reduce output refs and B refs to their counters dicts. An op with a
+    fixed round count never fetches its counters, so its rounds pipeline
+    without a driver round trip.
 
     Use this (not bucket_partition/bucket_join) when an operator chains
     SEVERAL exchanges over intermediate data that never needs to be a
     Dataset — each Dataset all-to-all pays union/tag/sort scheduling that
     dominates wall time when the per-row work is tiny (measured on
     triangle counting over 1.7M edges: 6 Dataset all-to-alls = 41 s wall
-    with <1.5 s of UDF work per stage — see ops/graph.py). Payloads are
-    whatever Arrow/numpy values the caller wants; determinism is the
-    caller's contract (integer/exact merges, order-insensitive reduces)."""
-    import ray
-
-    B = max(2, int(num_buckets))  # num_returns=1 returns a bare ref
-
-    @ray.remote
-    def _map(part):
-        return map_fn(part)
-
-    @ray.remote
-    def _reduce(b, extra_b, *payloads):
-        return reduce_fn(b, payloads, extra_b)
-
+    with <1.5 s of UDF work per stage). Map and reduce functions are
+    module-level (pickled by reference); determinism is the caller's
+    contract (integer/exact merges, order-insensitive reduces)."""
+    grid = route(inputs, map_fn, num_buckets)
+    B = _fan_out(num_buckets)
     side = extra if extra is not None else [None] * B
-    outs = [_map.options(num_returns=B).remote(r) for r in refs]
-    return [
-        _reduce.remote(b, side[b], *[outs[m][b] for m in range(len(outs))])
+    outs = [
+        _reduce_task.remote(reduce_fn, b, side[b], *[g[b] for g in grid])
         for b in range(B)
     ]
+    return [o[0] for o in outs], [o[1] for o in outs]
+
+
+def counter_totals(counter_refs) -> dict:
+    """Driver-side totals of every counter over one exchange's reduces
+    (one ``ray.get``)."""
+    tot: dict = {}
+    for c in ray.get(list(counter_refs)):
+        for k, v in c.items():
+            tot[k] = tot.get(k, 0) + v
+    return tot
 
 
 def bucket_join(

@@ -14,9 +14,8 @@ def register(q):
         (ops/graph.triangle_counts_fast) — degree-oriented distributed
         triangle counting (wedges bounded O(m^1.5) under any skew),
         wedge<->edge pair join, 3 vertex mentions per triangle merged by
-        a grouped sum; served by the raw-exchange form (five lean
-        map/reduce exchanges, 6.5x over the Dataset-all-to-all twin at
-        1.7M edges, bit-identical by test)."""
+        a grouped sum; five lean raw map/reduce exchanges (6.5x over a
+        six-Dataset-all-to-all form at 1.7M edges)."""
         from ..ops.graph import triangle_counts_fast
 
         return triangle_counts_fast(
@@ -32,9 +31,8 @@ def register(q):
         integer sum — so the chained-CTE SQL twin is value-exact (no
         float reduction order anywhere). The edge table is hash(src)-
         partitioned ONCE and stays resident in the object store; each
-        iteration moves only node-width rank shares (raw-Ray stationary
-        iteration — the Dataset-join form, kept as the differential
-        twin in ops/graph.pagerank, re-ships the edges every pass)."""
+        iteration moves only node-width rank shares (a Dataset-join
+        form would re-ship the edges every pass)."""
         from ..ops.graph import pagerank_stationary
 
         return pagerank_stationary(
