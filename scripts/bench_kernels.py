@@ -175,32 +175,35 @@ def main():
             "speedup": round(dt_row / dt_col, 1),
         }
 
-    # multi-word needle (the reference's own search bench shape:
-    # needle = len/10 = 100 for 1000-char haystacks)
-    n3, hlen3, m3, k3 = 1000, 1000, 100, 10
-    needle3 = rand_str(rng, m3)
-    texts3 = []
-    for i in range(n3):
-        t = bytearray(rand_str(rng, hlen3))
-        if i % 20 == 0:
-            pos = rng.randrange(0, hlen3 - m3)
-            t[pos : pos + m3] = mutate(rng, needle3, k3)[:m3]
-        texts3.append(t.decode("latin-1"))
-    tbl3 = pa.table({"doc_id": list(range(n3)), "text": texts3})
-    levenshtein_search_column(tbl3, needle3, k3)  # warm
-    t0 = time.perf_counter()
-    levenshtein_search_column(tbl3, needle3, k3)
-    dt_c3 = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for t in texts3[:100]:
-        list(levenshtein_search_simd_with_opts(
-            needle3, t.encode("latin-1"), k3, SEARCH_ALL))
-    dt_r3 = (time.perf_counter() - t0) * (n3 / 100)
-    out["lev_search_column_needle100"] = {
-        "docs_per_sec": round(n3 / dt_c3),
-        "per_row_docs_per_sec": round(n3 / dt_r3),
-        "speedup": round(dt_r3 / dt_c3, 1),
-    }
+    # long needles: the reference's own search bench shape (needle =
+    # len/10 = 100 for 1000-char haystacks), then both sides of one
+    # 64-bit word (m = 64 and 65)
+    n3, hlen3 = 1000, 1000
+    for m3 in (100, 64, 65):
+        k3 = m3 // 10
+        needle3 = rand_str(rng, m3)
+        texts3 = []
+        for i in range(n3):
+            t = bytearray(rand_str(rng, hlen3))
+            if i % 20 == 0:
+                pos = rng.randrange(0, hlen3 - m3)
+                t[pos : pos + m3] = mutate(rng, needle3, k3)[:m3]
+            texts3.append(t.decode("latin-1"))
+        tbl3 = pa.table({"doc_id": list(range(n3)), "text": texts3})
+        levenshtein_search_column(tbl3, needle3, k3)  # warm
+        t0 = time.perf_counter()
+        levenshtein_search_column(tbl3, needle3, k3)
+        dt_c3 = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for t in texts3[:100]:
+            list(levenshtein_search_simd_with_opts(
+                needle3, t.encode("latin-1"), k3, SEARCH_ALL))
+        dt_r3 = (time.perf_counter() - t0) * (n3 / 100)
+        out[f"lev_search_column_needle{m3}"] = {
+            "docs_per_sec": round(n3 / dt_c3),
+            "per_row_docs_per_sec": round(n3 / dt_r3),
+            "speedup": round(dt_r3 / dt_c3, 1),
+        }
 
     print(json.dumps(out, indent=1))
 

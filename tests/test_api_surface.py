@@ -76,20 +76,25 @@ def test_doc_examples():
     K.fill_str(a, b"\x01\x02\x03\x04")
     assert bytes(a) == b"\x01\x02\x03\x04\x00"  # lib.rs:218-226
 
-def test_force_path_parity(monkeypatch):
-    """TA_FORCE_PATH pins a dispatch tier; every tier must produce the same
-    outputs (the analogue of the reference's per-feature CI matrix)."""
+def test_force_path_parity():
+    """Every dispatch tier, called directly, agrees with its oracle on the
+    same inputs (the analogue of the reference's per-feature CI matrix):
+    the Myers single-pair tier against the banded DP, the batched Myers
+    and the batch dispatcher against the scalar DP, the Myers search
+    against the Sellers search."""
     import random
-
-    import numpy as np
 
     from triple_accel_ray.kernels import (
         SEARCH_ALL,
         SEARCH_BEST,
+        levenshtein_naive_k,
+        levenshtein_search_naive_with_opts,
         levenshtein_search_simd_with_opts,
         levenshtein_simd_k,
     )
     from triple_accel_ray.kernels.batch import levenshtein_k_batch
+    from triple_accel_ray.kernels.myers_batch import myers_k_batch
+    from triple_accel_ray.kernels.scalar import levenshtein_k_with_opts
     from triple_accel_ray.kernels.types import LEVENSHTEIN_COSTS
 
     rng = random.Random(31)
@@ -101,21 +106,22 @@ def test_force_path_parity(monkeypatch):
              for _ in range(80)]
     hay = [rnd(rng.randrange(0, 200)) for _ in range(40)]
     needle = b"pattern"
+    k = 15
 
-    results = {}
-    for path in ("auto", "fast", "banded"):
-        monkeypatch.setenv("TA_FORCE_PATH", path)
-        results[path] = {
-            "k": [levenshtein_simd_k(a, b, 15) for a, b in pairs],
-            "batch": levenshtein_k_batch(
-                [p[0] for p in pairs], [p[1] for p in pairs], 15
-            ).tolist(),
-            "search": [
-                [(m.start, m.end, m.k) for m in
-                 levenshtein_search_simd_with_opts(
-                     needle, h, 2, st, LEVENSHTEIN_COSTS, False)]
-                for h in hay for st in (SEARCH_ALL, SEARCH_BEST)
-            ],
-        }
-    monkeypatch.delenv("TA_FORCE_PATH", raising=False)
-    assert results["auto"] == results["fast"] == results["banded"]
+    assert [levenshtein_simd_k(a, b, k) for a, b in pairs] == [
+        levenshtein_naive_k(a, b, k) for a, b in pairs]
+    want = []
+    for a, b in pairs:
+        r = levenshtein_k_with_opts(a, b, k)
+        want.append(-1 if r is None else r[0])
+    a_col = [p[0] for p in pairs]
+    b_col = [p[1] for p in pairs]
+    assert myers_k_batch(a_col, b_col, k).tolist() == want
+    assert levenshtein_k_batch(a_col, b_col, k).tolist() == want
+    for h in hay:
+        for st in (SEARCH_ALL, SEARCH_BEST):
+            assert levenshtein_search_simd_with_opts(
+                needle, h, 2, st, LEVENSHTEIN_COSTS, False
+            ) == levenshtein_search_naive_with_opts(
+                needle, h, 2, st, LEVENSHTEIN_COSTS, False
+            )

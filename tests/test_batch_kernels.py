@@ -190,8 +190,9 @@ def test_myers_batch_matches_scalar_mixed():
 
 
 def test_levenshtein_k_batch_myers_tier_dispatch():
-    """Unit-cost long strings route through the Myers tier; results must be
-    identical to the banded DP (and the scalar oracle)."""
+    """Unit-cost long strings whose W-groups (W = 7-15 words) are all
+    below MYERS_MIN_TIER_PAIRS, so every pair stays on the banded DP;
+    results must equal the scalar oracle."""
     rng = random.Random(22)
     a_col, b_col = [], []
     for _ in range(60):
@@ -206,3 +207,44 @@ def test_levenshtein_k_batch_myers_tier_dispatch():
         r = levenshtein_k_with_opts(a, b, k)
         want = r[0] if r is not None else -1
         assert got[i] == want, i
+def test_levenshtein_k_batch_mixed_tier_split(monkeypatch):
+    """One W-group of >= MYERS_MIN_TIER_PAIRS short pairs goes through the
+    batched Myers tier, every other width stays on the banded DP, and the
+    merged results equal the scalar oracle."""
+    from triple_accel_ray.kernels import myers_batch
+    from triple_accel_ray.kernels.batch import MYERS_MIN_TIER_PAIRS
+
+    rng = random.Random(23)
+    a_col, b_col = [], []
+    for _ in range(MYERS_MIN_TIER_PAIRS + 44):
+        a = rand_str(rng, rng.randrange(13, 59))  # W = 1 after <= 3 edits
+        a_col.append(a)
+        b_col.append(mutate(rng, a, 3))
+    for _ in range(40):  # W = 2-4, each group far below the gate
+        a = rand_str(rng, rng.randrange(100, 250))
+        a_col.append(a)
+        b_col.append(mutate(rng, a, 10) if rng.random() < 0.7
+                     else rand_str(rng, rng.randrange(100, 250)))
+    a_col += [b"", b"abc"]
+    b_col += [b"", b""]
+    w1 = [i for i, (a, b) in enumerate(zip(a_col, b_col))
+          if 1 <= min(len(a), len(b)) <= 64]
+    assert len(w1) == MYERS_MIN_TIER_PAIRS + 44
+
+    calls = []
+    real = myers_batch.myers_k_batch_rows
+
+    def spy(da, oa, db, ob, rows, *args, **kw):
+        calls.append(np.sort(rows).tolist())
+        return real(da, oa, db, ob, rows, *args, **kw)
+
+    monkeypatch.setattr(myers_batch, "myers_k_batch_rows", spy)
+    k = 20
+    got = levenshtein_k_batch(a_col, b_col, k)
+    assert calls == [w1]
+    for i, (a, b) in enumerate(zip(a_col, b_col)):
+        r = levenshtein_k_with_opts(a, b, k)
+        want = r[0] if r is not None else -1
+        assert got[i] == want, i
+
+

@@ -400,6 +400,41 @@ def test_connected_components_edge_cases(ray_session):
     assert (out["cluster_id"] == "n0").all() and len(out) == 20
 
 
+def test_connected_components_deterministic_row_order(ray_session):
+    """Two runs on the same multi-block input (node ids repeated across
+    blocks) return tables equal row for row, compared unsorted: the label
+    slices keep first-seen node order through every merge, so the output
+    written does not vary between runs."""
+    import random
+
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from triple_accel_ray.pipeline.cluster import connected_components
+
+    rng = random.Random(37)
+    ids = [f"d{i:04d}" for i in range(600)]
+    edges = [tuple(rng.sample(ids, 2)) for _ in range(450)]
+    et = pa.table({"a_id": [a for a, _ in edges],
+                   "b_id": [b for _, b in edges]})
+    nt = pa.table({"conv_id": ids + rng.sample(ids, 300)})
+
+    opts = DataContext.get_current().execution_options
+    keep = opts.preserve_order
+    opts.preserve_order = True  # fix block order; rows are under test
+    try:
+        runs = [connected_components(
+                    rd.from_arrow(et).repartition(6),
+                    rd.from_arrow(nt).repartition(5), num_partitions=4)
+                .to_arrow_refs() for _ in range(2)]
+    finally:
+        opts.preserve_order = keep
+    first, second = (pa.concat_tables(ray.get(r)) for r in runs)
+    assert first.num_rows == 600
+    assert first.equals(second)
+
+
 def test_connected_components_delta_telemetry(ray_session):
     """Round-5 delta propagation: (a) the stats dict records
     per-iteration message volumes and changed counts; (b) message

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from triple_accel_ray.kernels import (
     SEARCH_ALL,
@@ -117,3 +118,38 @@ def test_levenshtein_search_column_long_needle():
             want = expected(levenshtein_search_naive_with_opts, needle,
                             t["text"].to_pylist(), k, st)
             assert sorted(got_rows(out)) == sorted(want), (st, k)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128])
+def test_levenshtein_search_column_word_boundaries(m, monkeypatch):
+    """Needle lengths around one 64-bit word, haystacks shorter and longer
+    than the needle, k below and at-or-above m (the position-0 empty
+    match), ALL and BEST; once with the default chunking and once with
+    chunks of a few rows and a few gathered steps."""
+    from triple_accel_ray.kernels import search_batch
+
+    rng = random.Random(100 + m)
+    needle = bytes(rng.randrange(97, 100) for _ in range(m))
+    texts = []
+    for i in range(12):
+        L = rng.randrange(0, m) if i % 2 else rng.randrange(m + 1, 2 * m + 40)
+        t = bytearray(rng.randrange(97, 100) for _ in range(L))
+        if i % 3 == 0 and L > m:
+            p = rng.randrange(0, L - m)
+            t[p:p + m] = needle
+        texts.append(bytes(t).decode())
+    t = pa.table({"doc_id": list(range(len(texts))), "text": texts})
+    cases = []
+    for st in (SEARCH_ALL, SEARCH_BEST):
+        for k in sorted({m // 8, m, m + 2}):
+            want = expected(levenshtein_search_naive_with_opts, needle,
+                            texts, k, st)
+            cases.append((st, k, sorted(want)))
+    for small in (False, True):
+        if small:  # 5 rows a chunk, 2-3 steps a gather
+            monkeypatch.setattr(search_batch, "_CHUNK_WORDS",
+                                5 * ((m + 63) >> 6))
+            monkeypatch.setattr(search_batch, "_GATHER_BYTES", 13)
+        for st, k, want in cases:
+            out = levenshtein_search_column(t, needle, k, st)
+            assert sorted(got_rows(out)) == want, (st, k, small)

@@ -145,24 +145,12 @@ def levenshtein_naive_k_with_opts(
     return scalar.levenshtein_k_with_opts(a, b, k, trace_on, costs)
 
 
-def _force_path() -> str:
-    """TA_FORCE_PATH={auto,fast,banded} — force or deny the fast dispatch
-    tier (the analogue of the reference's jewel-avx/sse/8bit Cargo
-    features, which its CI uses to test every tier; Cargo.toml:14-22).
-    'banded' pins the scalar/banded reference path; 'fast' asserts the
-    fast tier is taken wherever semantics allow. Parity across forced
-    paths is tested in tests/test_api_surface.py."""
-    import os
-
-    return os.environ.get("TA_FORCE_PATH", "auto")
-
-
 def levenshtein_simd_k_with_opts(
     a, b, k: int, trace_on: bool = False, costs: EditCosts = LEVENSHTEIN_COSTS
 ) -> Optional[Tuple[int, Optional[List[Edit]]]]:
     """Fast-path dispatch with outputs identical to the banded DP
     (mirrors levenshtein.rs:714-827's dispatch-with-identical-results)."""
-    if not trace_on and costs.is_unit() and _force_path() != "banded":
+    if not trace_on and costs.is_unit():
         # Myers bit-parallel path; apply the same achievable-cost cap the
         # banded DP applies so the None/Some boundary is identical.
         a_s = as_seq(a)
@@ -291,8 +279,7 @@ def levenshtein_search_simd_with_opts(
     costs: EditCosts = LEVENSHTEIN_COSTS,
     anchored: bool = False,
 ) -> List[Match]:
-    if (costs.is_unit() and not anchored and len(needle) > 0
-            and _force_path() != "banded"):
+    if costs.is_unit() and not anchored and len(needle) > 0:
         from .search_fast import levenshtein_search_myers
 
         return levenshtein_search_myers(needle, haystack, k, search_type)

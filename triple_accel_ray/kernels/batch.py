@@ -53,9 +53,7 @@ _INF = np.int64(1) << 40
 # Round 2's whole-call >=256-pairs gate missed this and regressed the ER
 # edges stage 2.5x (VERDICT r2); the per-W-group gate keeps both regimes
 # on their winning path at any batch size.
-import os as _os
-
-MYERS_MIN_TIER_PAIRS = int(_os.environ.get("TA_MYERS_MIN_TIER_PAIRS", 256))
+MYERS_MIN_TIER_PAIRS = 256
 
 
 def to_byte_rows(col) -> Tuple[np.ndarray, np.ndarray]:
@@ -253,16 +251,10 @@ def levenshtein_k_batch(
         costs.mismatch_cost == 1 and costs.gap_cost == 1
         and costs.start_gap_cost == 0 and not costs.allow_transpose
     )
-    force = _os.environ.get("TA_FORCE_PATH", "auto")
-    if unit and force != "banded":
-        if force == "fast":
-            myers_sel = np.ones(todo.size, dtype=bool)
-        else:
-            w_grp = (short_len[todo] + 63) >> 6
-            _, inv, cnt = np.unique(
-                w_grp, return_inverse=True, return_counts=True
-            )
-            myers_sel = cnt[inv] >= MYERS_MIN_TIER_PAIRS
+    if unit:
+        w_grp = (short_len[todo] + 63) >> 6
+        _, inv, cnt = np.unique(w_grp, return_inverse=True, return_counts=True)
+        myers_sel = cnt[inv] >= MYERS_MIN_TIER_PAIRS
         if myers_sel.any():
             from .myers_batch import myers_k_batch_rows
 

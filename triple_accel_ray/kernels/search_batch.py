@@ -3,19 +3,19 @@ reference's search family (its second pillar, levenshtein.rs:1866-2484 /
 hamming.rs:96-146), vectorized ACROSS the haystack column instead of SIMD
 lanes within one haystack.
 
-* ``myers_scan_column`` — Myers (1999) semi-global bit-parallel scan with
-  one uint64 register PER ROW: every update step is ~12 numpy ops spanning
-  all rows in the chunk, so the per-character Python overhead of the
-  scalar scan is amortized across the whole column. End positions / costs
-  are identical to ``search_fast._scan_end_positions`` (differentially
-  tested); start positions and tie-breaks are recovered per HIT by the
-  same exact windowed DP as the scalar fast path — hits are sparse, so
-  the recovery cost is proportional to matches, not corpus size.
+* ``myers_search_column`` — Myers (1999) semi-global bit-parallel scan
+  with one ``(W, rows)`` uint64 register file (W = ceil(m/64) words per
+  row, carries between words after Hyyrö 2003): every update step is ~20
+  numpy ops per word spanning all rows in the chunk, so the
+  per-character Python overhead of the scalar scan is amortized across
+  the whole column. End positions / costs are identical to the scalar
+  Sellers DP; start positions and tie-breaks are recovered per HIT by the
+  same engine run as a reverse global scan over each hit's window — hits
+  are sparse, so the recovery cost is proportional to matches, not
+  corpus size. One engine serves every needle length from 1 to 65,536
+  bytes.
 * ``hamming_scan_column`` — sliding mismatch counts for the whole column
   in ``len(needle)`` vectorized passes over the flat byte buffer.
-
-Needles longer than 64 bytes (multi-word registers) or longer than a
-haystack fall back to the scalar path row-by-row — correctness first.
 """
 
 from __future__ import annotations
@@ -24,17 +24,17 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "myers_scan_column",
-    "myers_scan_column_multiword",
-    "hamming_scan_column",
-    "recover_starts_batch",
-    "recover_starts_batch_multiword",
-]
+__all__ = ["myers_search_column", "hamming_scan_column"]
+
+# per-chunk bounds of the Myers engine: register words (W x rows) and
+# bytes of the gathered character matrix (steps x rows)
+_CHUNK_WORDS = 1 << 20
+_GATHER_BYTES = 1 << 20
 
 
 def _peq_words(needle: bytes) -> np.ndarray:
-    """(W, 256) uint64 bitmask planes for a multi-word needle."""
+    """(W, 256) uint64 bitmask planes: bit i & 63 of peq[i >> 6, c] is set
+    iff needle[i] == c."""
     m = len(needle)
     W = (m + 63) >> 6
     peq = np.zeros((W, 256), dtype=np.uint64)
@@ -44,244 +44,149 @@ def _peq_words(needle: bytes) -> np.ndarray:
 
 
 def _multiword_scan(needle, data, offsets, k, semi_global, rows=None,
-                    ends=None, costs=None, chunk_rows=2048):
-    """Shared word-serial Myers engine over a column, one (W, rows) uint64
-    register file. semi_global=True scans haystacks (row 0 pinned to 0,
-    no carry into word 0) and returns every (row, end, cost <= k);
-    semi_global=False runs GLOBAL alignment over reversed hit windows and
-    returns, per hit, the largest prefix length whose score equals the
-    hit cost (the longest-match start recovery). The needle is SHARED, so
-    PEQ is one (W, 256) table and the score bit is uniform."""
+                    ends=None, costs=None):
+    """Word-serial Myers engine over a column, one (W, rows) uint64
+    register file per chunk of length-sorted rows.
+
+    semi_global=True scans haystacks (row 0 pinned to 0, no carry into
+    word 0) and returns every (row, end, cost <= k), ordered by (row,
+    end). semi_global=False runs GLOBAL alignment (carry +1 into word 0)
+    over reversed hit windows and returns, per hit, the largest prefix
+    length whose score equals the hit cost (the longest-match start
+    recovery). The needle is SHARED, so PEQ is one (W, 256) table and the
+    score bit is uniform.
+
+    The step loop allocates nothing: register words, scratch and carries
+    are preallocated per chunk, and characters are gathered as a
+    transposed (steps, rows) matrix ``_GATHER_BYTES`` at a time. Rows are
+    sorted by length, so the live rows at step j are a suffix of the
+    chunk; the loop works on views of that suffix only."""
     m = len(needle)
     W = (m + 63) >> 6
     peq = _peq_words(needle)
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
     hi = np.uint64((m - 1) & 63)
     one = np.uint64(1)
     top = np.uint64(63)
-    k_eff = min(k, m)
+    k_eff = min(k, m)  # D[m][j] <= m always
+    last = max(0, len(data) - 1)
 
     if semi_global:
         lens = np.diff(offsets)
-        n = len(lens)
         order = np.argsort(lens, kind="stable")
+        begin = offsets[:-1][order]  # char j of row r = data[begin + j]
+        step = 1
     else:
-        n = len(rows)
-        window = m + k_eff
-        wlen = np.minimum(ends, window)
-        order = np.argsort(wlen, kind="stable")
+        lens = np.minimum(ends, m + k_eff)  # optimal spans <= m + k chars
+        order = np.argsort(lens, kind="stable")
+        # reversed windows: char j = data[hay_start + end - 1 - j]
+        begin = (offsets[:-1][rows] + ends)[order] - 1
+        step = -1
+        target = costs[order].astype(np.uint64)
+        best_p = np.where(costs == m, 0, -1).astype(np.int64)  # empty window
+    lens = lens[order]
 
     out_rows: list = []
     out_ends: list = []
     out_costs: list = []
-    best_p = None if semi_global else np.full(n, -1, dtype=np.int64)
-
+    chunk_rows = max(1, _CHUNK_WORDS // W)
     for c0 in range(0, len(order), chunk_rows):
-        sel = order[c0 : c0 + chunk_rows]
-        nr = len(sel)
-        if semi_global:
-            clens = lens[sel]
-            starts = offsets[:-1][sel]
-        else:
-            clens = wlen[sel]
-            # reversed windows: char j of the scan = hay[end-1-j]
-            starts = offsets[:-1][rows[sel]] + ends[sel]
-            ccosts = costs[sel].astype(np.int64)
-            bp = best_p
-            bp[sel[ccosts == m]] = 0  # empty window solves cost == m
-        maxlen = int(clens.max(initial=0))
+        c1 = min(len(order), c0 + chunk_rows)
+        maxlen = int(lens[c1 - 1])
         if maxlen == 0:
             continue
+        nr = c1 - c0
+        sel = order[c0:c1]
+        cbeg = begin[c0:c1]
+        # first live row at each step (live rows form a suffix)
+        live_from = np.searchsorted(
+            lens[c0:c1], np.arange(1, maxlen + 1)).tolist()
         # ghost bits above m in the last word carry garbage upward only —
         # they never reach bit hi or below (same argument as myers_batch)
-        PV = np.full((W, nr), full, dtype=np.uint64)
-        MV = np.zeros((W, nr), dtype=np.uint64)
-        score = np.full(nr, m, dtype=np.int64)
-        for j in range(maxlen):
-            ls = int(np.searchsorted(clens, j + 1))
-            if ls >= nr:
-                break
-            if semi_global:
-                idx = np.minimum(starts + j, np.int64(max(0, len(data) - 1)))
-            else:
-                idx = np.maximum(starts - 1 - j, np.int64(0))
-            chars = data[idx] if len(data) else np.zeros(nr, np.uint8)
-            hin_pos = (
-                np.zeros(nr, dtype=np.uint64) if semi_global
-                else np.ones(nr, dtype=np.uint64)
-            )
-            hin_neg = np.zeros(nr, dtype=np.uint64)
-            for w in range(W):
-                pv = PV[w]
-                mv = MV[w]
-                eq0 = peq[w][chars]
-                xv = eq0 | mv
-                eq = eq0 | hin_neg
-                xh = (((eq & pv) + pv) ^ pv) | eq
-                ph = mv | ~(xh | pv)
-                mh = pv & xh
-                if w == W - 1:
-                    score += ((ph >> hi) & one).astype(np.int64)
-                    score -= ((mh >> hi) & one).astype(np.int64)
-                hout_pos = (ph >> top) & one
-                hout_neg = (mh >> top) & one
-                ph = (ph << one) | hin_pos
-                mh = (mh << one) | hin_neg
-                PV[w] = mh | ~(xv | ph)
-                MV[w] = ph & xv
-                hin_pos, hin_neg = hout_pos, hout_neg
-            if semi_global:
-                hit = np.nonzero(score <= k_eff)[0]
-                if hit.size:
-                    hit = hit[hit >= ls]
-                if hit.size:
-                    out_rows.append(sel[hit])
-                    out_ends.append(np.full(len(hit), j + 1, dtype=np.int64))
-                    out_costs.append(score[hit].copy())
-            else:
-                upd = np.nonzero(score == ccosts)[0]
-                if upd.size:
-                    upd = upd[upd >= ls]
-                if upd.size:
-                    bp[sel[upd]] = j + 1
+        PV = np.full((W, nr), np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64)
+        MV = np.zeros((W, nr), np.uint64)
+        SC = np.full(nr, m, np.uint64)  # D[m][j], never negative
+        TMP = np.empty((9, nr), np.uint64)
+        HIT = np.empty(nr, bool)
+        if not semi_global:
+            TGT = target[c0:c1]
+        steps = max(1, _GATHER_BYTES // nr)
+        ls = -1
+        for j0 in range(0, maxlen, steps):
+            j1 = min(maxlen, j0 + steps)
+            g0 = live_from[j0]
+            idx = cbeg[g0:, None] + step * np.arange(j0, j1)[None, :]
+            np.clip(idx, 0, last, out=idx)
+            charsT = np.ascontiguousarray(data[idx].T)
+            for j in range(j0, j1):
+                if live_from[j] != ls:
+                    ls = live_from[j]
+                    pvs = [PV[w, ls:] for w in range(W)]
+                    mvs = [MV[w, ls:] for w in range(W)]
+                    eq, xv, t1, t2, t3, hp, hn, hp2, hn2 = TMP[:, ls:]
+                    score = SC[ls:]
+                    hit = HIT[ls:]
+                    live = sel[ls:]
+                    if not semi_global:
+                        tgt = TGT[ls:]
+                cj = charsT[j - j0, ls - g0:]
+                for w in range(W):
+                    pv = pvs[w]
+                    mv = mvs[w]
+                    np.take(peq[w], cj, out=eq)
+                    np.bitwise_or(eq, mv, out=xv)
+                    if w:
+                        np.bitwise_or(eq, hn, out=eq)
+                    # xh = (((eq & pv) + pv) ^ pv) | eq  -> t1
+                    np.bitwise_and(eq, pv, out=t1)
+                    np.add(t1, pv, out=t1)
+                    np.bitwise_xor(t1, pv, out=t1)
+                    np.bitwise_or(t1, eq, out=t1)
+                    # ph = mv | ~(xh | pv)  -> t2
+                    np.bitwise_or(t1, pv, out=t2)
+                    np.invert(t2, out=t2)
+                    np.bitwise_or(t2, mv, out=t2)
+                    # mh = pv & xh  -> t1
+                    np.bitwise_and(t1, pv, out=t1)
+                    if w == W - 1:
+                        np.right_shift(t2, hi, out=t3)
+                        np.bitwise_and(t3, one, out=t3)
+                        np.add(score, t3, out=score)
+                        np.right_shift(t1, hi, out=t3)
+                        np.bitwise_and(t3, one, out=t3)
+                        np.subtract(score, t3, out=score)
+                    else:
+                        np.right_shift(t2, top, out=hp2)
+                        np.right_shift(t1, top, out=hn2)
+                    np.left_shift(t2, one, out=t2)
+                    np.left_shift(t1, one, out=t1)
+                    if w:
+                        np.bitwise_or(t2, hp, out=t2)
+                        np.bitwise_or(t1, hn, out=t1)
+                    elif not semi_global:
+                        # global alignment: the window prefix must be
+                        # consumed, so ph bit 0 IS forced on
+                        np.bitwise_or(t2, one, out=t2)
+                    # pv = mh | ~(xv | ph); mv = ph & xv
+                    np.bitwise_or(xv, t2, out=pv)
+                    np.invert(pv, out=pv)
+                    np.bitwise_or(pv, t1, out=pv)
+                    np.bitwise_and(t2, xv, out=mv)
+                    hp, hp2 = hp2, hp
+                    hn, hn2 = hn2, hn
+                if semi_global:
+                    np.less_equal(score, k_eff, out=hit)
+                    hr = np.flatnonzero(hit)
+                    if hr.size:
+                        out_rows.append(live[hr])
+                        out_ends.append(np.full(hr.size, j + 1, np.int64))
+                        out_costs.append(score[hr].astype(np.int64))
+                else:
+                    np.equal(score, tgt, out=hit)
+                    # later (larger) p wins -> longest match
+                    best_p[live[np.flatnonzero(hit)]] = j + 1
 
-    if semi_global:
-        if not out_rows:
-            z = np.empty(0, np.int64)
-            return z, z, z
-        rows_a = np.concatenate(out_rows)
-        ends_a = np.concatenate(out_ends)
-        costs_a = np.concatenate(out_costs)
-        o = np.lexsort((ends_a, rows_a))
-        return rows_a[o], ends_a[o], costs_a[o]
-    return best_p
-
-
-def myers_scan_column_multiword(needle: bytes, data, offsets, k):
-    """Semi-global scan for needles longer than one word (64 < m): same
-    end/cost stream as the scalar Sellers DP, word-serial carries
-    vectorized across rows."""
-    return _multiword_scan(needle, data, offsets, k, semi_global=True)
-
-
-def recover_starts_batch_multiword(needle, data, offsets, rows, ends, costs,
-                                   k_eff):
-    """Multi-word twin of :func:`recover_starts_batch` (same longest-match
-    rule via reverse global scan)."""
-    best_p = _multiword_scan(
-        needle[::-1], data, offsets, k_eff, semi_global=False,
-        rows=rows, ends=ends, costs=costs,
-    )
-    return ends - best_p
-
-
-def _peq_table(needle: bytes) -> np.ndarray:
-    """(256,) uint64 bitmask table: bit i of peq[c] set iff needle[i] == c."""
-    peq = np.zeros(256, dtype=np.uint64)
-    for i, c in enumerate(needle):
-        peq[c] |= np.uint64(1 << i)
-    return peq
-
-
-def myers_scan_column(
-    needle: bytes, data: np.ndarray, offsets: np.ndarray, k: int,
-    chunk_rows: int = 4096,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Semi-global scan over every row: returns (row, end, cost) arrays for
-    every position where D[m][end] <= k. Requires 1 <= len(needle) <= 64.
-
-    Rows are processed in length-sorted chunks so each chunk iterates only
-    to its own max length; state updates are fully vectorized per step.
-    """
-    m = len(needle)
-    assert 1 <= m <= 64
-    lens = np.diff(offsets)
-    n = len(lens)
-    k_eff = min(k, m)  # D[m][j] <= m always
-
-    peq = _peq_table(needle)
-    full = np.uint64((1 << m) - 1) if m < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-    highshift = np.uint64(m - 1)
-    one = np.uint64(1)
-
-    out_rows: list = []
-    out_ends: list = []
-    out_costs: list = []
-
-    order = np.argsort(lens, kind="stable")
-    for c0 in range(0, n, chunk_rows):
-        rows = order[c0 : c0 + chunk_rows]
-        clens = lens[rows]
-        maxlen = int(clens.max(initial=0))
-        if maxlen == 0:
-            continue
-        starts = offsets[:-1][rows]
-        nr = len(rows)
-        # transposed padded char matrix: padT[j] is the contiguous column
-        # of j-th characters (one gather per chunk, not per step)
-        flat_idx = starts[:, None] + np.arange(maxlen, dtype=np.int64)[None, :]
-        np.clip(flat_idx, 0, max(0, len(data) - 1), out=flat_idx)
-        padT = np.ascontiguousarray(
-            (data[flat_idx] if len(data) else np.zeros((nr, maxlen), np.uint8)).T
-        )
-        pv = np.full(nr, full, dtype=np.uint64)
-        mv = np.zeros(nr, dtype=np.uint64)
-        score = np.full(nr, m, dtype=np.uint64)  # never negative
-        k_u = np.uint64(k_eff)
-        # scratch buffers — the inner loop is allocation-free
-        eq = np.empty(nr, dtype=np.uint64)
-        t1 = np.empty(nr, dtype=np.uint64)
-        t2 = np.empty(nr, dtype=np.uint64)
-        t3 = np.empty(nr, dtype=np.uint64)
-        t4 = np.empty(nr, dtype=np.uint64)
-        # cut points where shorter rows finish (rows sorted by length:
-        # live rows form a suffix starting at searchsorted(clens, j+1))
-        for j in range(maxlen):
-            ls = int(np.searchsorted(clens, j + 1))
-            if ls >= nr:
-                break
-            np.take(peq, padT[j], out=eq)
-            # xh = (((eq & pv) + pv) ^ pv) | eq   -> t1
-            np.bitwise_and(eq, pv, out=t1)
-            np.add(t1, pv, out=t1)
-            np.bitwise_xor(t1, pv, out=t1)
-            np.bitwise_or(t1, eq, out=t1)
-            # xv = eq | mv                        -> t2
-            np.bitwise_or(eq, mv, out=t2)
-            # ph = mv | (~(xh | pv) & full)       -> t3
-            np.bitwise_or(t1, pv, out=t3)
-            np.invert(t3, out=t3)
-            np.bitwise_and(t3, full, out=t3)
-            np.bitwise_or(t3, mv, out=t3)
-            # mh = pv & xh                        -> t1 (xh dead)
-            np.bitwise_and(pv, t1, out=t1)
-            # score += ph.high - mh.high
-            np.right_shift(t3, highshift, out=t4)
-            np.bitwise_and(t4, one, out=t4)
-            np.add(score, t4, out=score)
-            np.right_shift(t1, highshift, out=t4)
-            np.bitwise_and(t4, one, out=t4)
-            np.subtract(score, t4, out=score)
-            # semi-global: row 0 stays 0 — bit 0 of ph NOT forced on
-            np.left_shift(t3, one, out=t3)
-            np.bitwise_and(t3, full, out=t3)
-            np.left_shift(t1, one, out=t1)
-            np.bitwise_and(t1, full, out=t1)
-            # pv = (mh | ~(xv | ph)) & full
-            np.bitwise_or(t2, t3, out=t4)
-            np.invert(t4, out=t4)
-            np.bitwise_or(t1, t4, out=t4)
-            np.bitwise_and(t4, full, out=pv)
-            # mv = ph & xv
-            np.bitwise_and(t3, t2, out=mv)
-            hr = np.nonzero(score <= k_u)[0]
-            if hr.size:
-                hr = hr[hr >= ls]
-            if hr.size:
-                out_rows.append(rows[hr])
-                out_ends.append(np.full(len(hr), j + 1, dtype=np.int64))
-                out_costs.append(score[hr].astype(np.int64))
-
+    if not semi_global:
+        return best_p
     if not out_rows:
         z = np.empty(0, np.int64)
         return z, z, z
@@ -293,75 +198,29 @@ def myers_scan_column(
     return rows_a[o], ends_a[o], costs_a[o]
 
 
-def recover_starts_batch(
-    needle: bytes,
-    data: np.ndarray,
-    offsets: np.ndarray,
-    rows: np.ndarray,
-    ends: np.ndarray,
-    costs: np.ndarray,
-    k_eff: int,
-) -> np.ndarray:
-    """Start positions for scan hits, batched: one REVERSE global Myers
-    scan per hit window instead of a per-hit scalar DP.
+def myers_search_column(
+    needle: bytes, data: np.ndarray, offsets: np.ndarray, k: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-cost semi-global search of one needle (1 <= m) over every row:
+    returns (row, end, cost, start) arrays for every position where
+    D[m][end] <= k, ordered by (row, end) — the scalar Sellers DP's hit
+    stream.
 
-    The scalar Sellers DP reports, for each hit (end, cost), the LONGEST
-    match — equivalently the smallest start s with
-    lev(needle, hay[s:end]) == cost (verified exhaustively against the
-    scalar tie-break: 21k matches on adversarial 3-letter corpora, zero
-    divergences; differential tests guard it per build). Running Myers
-    with the REVERSED needle over the reversed window gives
+    The start of each hit is the scalar DP's: the LONGEST match, i.e. the
+    smallest start s with lev(needle, hay[s:end]) == cost (verified
+    exhaustively against the scalar tie-break on adversarial 3-letter
+    corpora; differential tests guard it). Running the engine with the
+    REVERSED needle over the reversed window gives
     score(p) = lev(needle, hay[end-p:end]) after p steps, so the answer
-    is the LARGEST p with score(p) == cost; any optimal alignment spans
-    at most m + k chars, bounding the window.
+    is end minus the LARGEST p with score(p) == cost; any optimal
+    alignment spans at most m + k chars, bounding the window.
     """
-    m = len(needle)
-    nh = len(rows)
-    out = np.full(nh, -1, dtype=np.int64)
-    if nh == 0:
-        return out
-    window = m + k_eff
-    starts_abs = offsets[:-1][rows]
-    wlen = np.minimum(ends, window)
-    idx = (starts_abs + ends)[:, None] - 1 - np.arange(window, dtype=np.int64)[None, :]
-    valid = np.arange(window)[None, :] < wlen[:, None]
-    np.clip(idx, 0, max(0, len(data) - 1), out=idx)
-    Wm = (
-        np.where(valid, data[idx], 0).astype(np.uint8)
-        if len(data)
-        else np.zeros((nh, window), np.uint8)
+    rows, ends, costs = _multiword_scan(needle, data, offsets, k, True)
+    best_p = _multiword_scan(
+        needle[::-1], data, offsets, k, False, rows=rows, ends=ends,
+        costs=costs,
     )
-
-    peq = _peq_table(needle[::-1])
-    full = np.uint64((1 << m) - 1) if m < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-    highshift = np.uint64(m - 1)
-    one = np.uint64(1)
-    pv = np.full(nh, full, dtype=np.uint64)
-    mv = np.zeros(nh, dtype=np.uint64)
-    score = np.full(nh, m, dtype=np.int64)
-    costs64 = costs.astype(np.int64)
-    # p = 0 (empty window) solves hits whose cost == m
-    best_p = np.where(costs64 == m, 0, -1).astype(np.int64)
-    for j in range(window):
-        live = valid[:, j]
-        if not live.any():
-            break
-        eq = peq[Wm[:, j]]
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & full)
-        mh = pv & xh
-        score += ((ph >> highshift) & one).astype(np.int64)
-        score -= ((mh >> highshift) & one).astype(np.int64)
-        # GLOBAL alignment: the window prefix must be fully consumed, so
-        # ph bit 0 IS forced on (unlike the semi-global forward scan)
-        ph = ((ph << one) | one) & full
-        mh = (mh << one) & full
-        pv = (mh | ~(xv | ph)) & full
-        mv = ph & xv
-        upd = live & (score == costs64)
-        best_p[upd] = j + 1  # later (larger) p wins -> longest match
-    return ends - best_p
+    return rows, ends, costs, ends - best_p
 
 
 def hamming_scan_column(

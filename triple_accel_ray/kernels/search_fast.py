@@ -29,7 +29,7 @@ from .types import (
 from . import scalar
 from .myers import build_peq
 
-__all__ = ["levenshtein_search_myers", "hits_to_matches"]
+__all__ = ["levenshtein_search_myers", "hits_to_matches", "select_matches"]
 
 
 def _scan_end_positions(needle: bytes, haystack: bytes, k: int):
@@ -100,63 +100,59 @@ def hits_to_matches(
 ) -> List[Match]:
     """Convert (end, cost) scan hits into full Match rows: start positions
     and longest-match tie-breaks recovered by the exact windowed scalar DP
-    per hit, plus the scalar path's empty-match / BEST running-threshold /
-    overlap-replacement semantics. Shared by the scalar fast path and the
-    column-vectorized scan (kernels/search_batch.py)."""
-    m = len(needle)
+    per hit, then :func:`select_matches`."""
     n = len(haystack)
+    window = len(needle) + k_eff
+    cache = {}
 
-    # the first-row "empty match" the scalar emits when m <= k
-    raw: List[Match] = []
-    curr_k = k
-    if m <= curr_k:
-        if search_type == SEARCH_BEST:
-            curr_k = m
-        raw.append(Match(0, 0, m))
-
-    window = m + k_eff
-    cached_start = -1
-    cached_matches: List[Match] = []
-    for end, cost in hits:
-        if search_type == SEARCH_BEST and cost > curr_k:
-            continue
+    def start_of(i):
+        end, cost = hits[i]
         # exact window recomputation for start/tie-breaks
         w0 = max(0, end - window)
-        if w0 != cached_start:
-            cached_start = w0
-            cached_matches = scalar.levenshtein_search_with_opts(
+        if w0 not in cache:
+            cache.clear()
+            cache[w0] = scalar.levenshtein_search_with_opts(
                 needle, haystack[w0 : min(n, w0 + 2 * window + 1)],
                 k_eff, SEARCH_ALL, LEVENSHTEIN_COSTS, False,
             )
-        local_end = end - w0
-        found = None
-        for mm in cached_matches:
-            if mm.end == local_end and mm.k == cost:
-                found = mm
-                break
-        if found is None:  # pragma: no cover - safety net
-            sub = scalar.levenshtein_search_with_opts(
-                needle, haystack[w0:end], k_eff, SEARCH_ALL,
-                LEVENSHTEIN_COSTS, False,
-            )
-            for mm in sub:
-                if mm.end == local_end and mm.k == cost:
-                    found = mm
-                    break
-        if found is None:
-            continue
-        if search_type == SEARCH_BEST:
-            curr_k = cost
-        raw.append(Match(w0 + found.start, end, cost))
+        for mm in cache[w0]:
+            if mm.end == end - w0 and mm.k == cost:
+                return w0 + mm.start
+        return None
 
-    if search_type == SEARCH_BEST:
-        res: List[Match] = []
-        for mm in raw:
-            if not res:
-                res.append(mm)
-            elif mm.start <= res[-1].start:
-                res[-1] = mm
-            else:
-                res.append(mm)
-        return [mm for mm in res if mm.k == curr_k]
-    return raw
+    return select_matches(hits, len(needle), k, search_type, start_of)
+
+
+def select_matches(hits, m: int, k: int, search_type: str,
+                   start_of) -> List[Match]:
+    """The scalar search's match selection over one haystack's scan hits,
+    ``(end, cost)`` pairs in end order: the position-0 empty match when
+    m <= k, BEST's running threshold, overlap replacement and the final
+    best filter. ``start_of(i)`` gives hit i's start (None drops the
+    hit); it is asked only for hits that pass the threshold. Shared by
+    the scalar fast path and the column search (ops/search.py)."""
+    best = search_type == SEARCH_BEST
+    raw: List[Match] = []
+    curr_k = k
+    if m <= curr_k:
+        if best:
+            curr_k = m
+        raw.append(Match(0, 0, m))
+    for i, (end, cost) in enumerate(hits):
+        if best and cost > curr_k:
+            continue
+        start = start_of(i)
+        if start is None:
+            continue
+        if best:
+            curr_k = cost
+        raw.append(Match(start, end, cost))
+    if not best:
+        return raw
+    res: List[Match] = []
+    for mm in raw:
+        if res and mm.start <= res[-1].start:
+            res[-1] = mm  # full-overlap replacement
+        else:
+            res.append(mm)
+    return [mm for mm in res if mm.k == curr_k]

@@ -213,16 +213,6 @@ def _box(plane: np.ndarray, fy: int, fx: int) -> np.ndarray:
     return (s + n // 2) // n
 
 
-def _deblockify(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    h8, w8 = -(-h // 8) * 8, -(-w // 8) * 8
-    img = (
-        blocks.reshape(h8 // 8, w8 // 8, 8, 8)
-        .transpose(0, 2, 1, 3)
-        .reshape(h8, w8)
-    )
-    return img[:h, :w]
-
-
 def _category(v: np.ndarray) -> np.ndarray:
     """JPEG magnitude category: number of bits of |v| (0 for v == 0)."""
     av = np.abs(v).astype(np.int64)

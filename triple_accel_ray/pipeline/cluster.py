@@ -117,8 +117,11 @@ def _init_labels(b, parts, *_):
         e = pa.array([], pa.string())
         return pa.table({"node": e, "label": e,
                          "dirty": pa.array([], pa.bool_())})
-    return nd.unique("node").select("node", label=pl.col("node"),
-                                    dirty=pl.lit(True)).to_arrow()
+    # keep first-seen order: the label slice's row order, and so the
+    # bytes written, must not vary between runs
+    return (nd.unique("node", maintain_order=True)
+            .select("node", label=pl.col("node"), dirty=pl.lit(True))
+            .to_arrow())
 
 
 def _propagate_map(edge_t: pa.Table, lab_t: pa.Table):
@@ -162,7 +165,8 @@ def _merge_minima(b, msg_parts, lab_t: pa.Table, counters: dict, *,
         return lab_t
     msg = (msg.group_by("nbr").agg(ml=pl.col("ml").min())
            .rename({"nbr": "node"}))
-    j = pl.from_arrow(lab_t).join(msg, on="node", how="left")
+    j = pl.from_arrow(lab_t).join(msg, on="node", how="left",
+                                  maintain_order="left")
     dec = pl.col("ml").is_not_null() & (pl.col("ml") < pl.col("label"))
     new = j.select(
         "node",
