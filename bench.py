@@ -92,7 +92,7 @@ def _run_benches(sf_dir: str, ncpus: int) -> dict:
     import ray.data as rd
 
     from triple_accel_ray.io import read_parquet_clean
-
+    from triple_accel_ray.kernels import native
     from triple_accel_ray.pipeline import PipelineConfig, run_er_pipeline
     from triple_accel_ray.pipeline.transcripts import (
         count_rows, ensure_fixture, parse_sf,
@@ -256,6 +256,8 @@ def _run_benches(sf_dir: str, ncpus: int) -> dict:
         "turns_per_sec": round(n_turns / t_best, 1),
         "rows": summary["rows"],
         "f1": round(summary["metrics"]["f1"], 6) if "metrics" in summary else None,
+        # which compiled unit-cost kernel produced these numbers
+        "kernel_hash": native.kernel_hash(),
     }
     ray.shutdown()
     return result

@@ -4,7 +4,8 @@ lengths {10, 100, 1000} with k = len/10, and search over haystacks
 {100, 1000} with needle = len/10, k = len/100, planted matches = len/20.
 
 The reference publishes no absolute numbers (BASELINE.md) — this records
-ours, per batch-kernel call and per pair, single process. Run:
+ours, per batch-kernel call and per pair, single process; each column-search
+row is the median of COLUMN_REPS calls. Run:
     python scripts/bench_kernels.py
 """
 
@@ -13,8 +14,11 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import sys
 import time
+
+COLUMN_REPS = 7  # timed calls per column-search row; the median is kept
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
@@ -48,9 +52,21 @@ def mutate(rng, s, k):
     return bytes(b)
 
 
+def _median_call(fn, *args, reps=COLUMN_REPS):
+    """Median wall time of ``reps`` calls: one call of the column search
+    is 40-130 ms, too short for a single timing to be stable."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def main():
     rng = random.Random(1234)
     out = {}
+    levenshtein_k_batch([b"a"], [b"b"], 1)  # build / load the compiled kernel
 
     # pairwise distance workloads
     for length in (10, 100, 1000):
@@ -103,8 +119,8 @@ def main():
         dt = time.perf_counter() - t0
         out[f"ham_search_h{hlen}"] = {"haystacks_per_sec": round(n / dt)}
 
-    # long-string unit-cost tier: batched multi-word Myers vs banded DP
-    from triple_accel_ray.kernels.myers_batch import myers_k_batch
+    # long-string unit-cost pairs: the compiled banded Myers (what
+    # levenshtein_k_batch runs for unit costs) vs the numpy banded DP
     from triple_accel_ray.kernels.batch import (
         _chunk_banded_dp, _max_k_unit_k, to_byte_rows,
     )
@@ -128,9 +144,9 @@ def main():
         a_col = [rand_str(rng, L) for _ in range(n2)]
         b_col = [mutate(rng, a, int(0.12 * L)) if rng.random() < 0.8
                  else rand_str(rng, L) for a in a_col]
-        myers_k_batch(a_col[:128], b_col[:128], k)  # warm
+        levenshtein_k_batch(a_col[:128], b_col[:128], k)  # warm
         t0 = time.perf_counter()
-        g1 = myers_k_batch(a_col, b_col, k)
+        g1 = levenshtein_k_batch(a_col, b_col, k)
         dt_m = time.perf_counter() - t0
         t0 = time.perf_counter()
         g2 = _banded_only(a_col, b_col, k)
@@ -161,9 +177,7 @@ def main():
             texts.append(t.decode("latin-1"))
         tbl = pa.table({"doc_id": list(range(n)), "text": texts})
         levenshtein_search_column(tbl, needle, k)  # warm (page faults)
-        t0 = time.perf_counter()
-        levenshtein_search_column(tbl, needle, k)
-        dt_col = time.perf_counter() - t0
+        dt_col = _median_call(levenshtein_search_column, tbl, needle, k)
         t0 = time.perf_counter()
         for t in texts:
             list(levenshtein_search_simd_with_opts(
@@ -191,9 +205,7 @@ def main():
             texts3.append(t.decode("latin-1"))
         tbl3 = pa.table({"doc_id": list(range(n3)), "text": texts3})
         levenshtein_search_column(tbl3, needle3, k3)  # warm
-        t0 = time.perf_counter()
-        levenshtein_search_column(tbl3, needle3, k3)
-        dt_c3 = time.perf_counter() - t0
+        dt_c3 = _median_call(levenshtein_search_column, tbl3, needle3, k3)
         t0 = time.perf_counter()
         for t in texts3[:100]:
             list(levenshtein_search_simd_with_opts(

@@ -79,10 +79,12 @@ def test_doc_examples():
 def test_force_path_parity():
     """Every dispatch tier, called directly, agrees with its oracle on the
     same inputs (the analogue of the reference's per-feature CI matrix):
-    the Myers single-pair tier against the banded DP, the batched Myers
-    and the batch dispatcher against the scalar DP, the Myers search
+    the Myers single-pair tier against the banded DP, the compiled batch
+    Myers and the batch dispatcher against the scalar DP, the Myers search
     against the Sellers search."""
     import random
+
+    import numpy as np
 
     from triple_accel_ray.kernels import (
         SEARCH_ALL,
@@ -91,9 +93,9 @@ def test_force_path_parity():
         levenshtein_search_naive_with_opts,
         levenshtein_search_simd_with_opts,
         levenshtein_simd_k,
+        native,
     )
-    from triple_accel_ray.kernels.batch import levenshtein_k_batch
-    from triple_accel_ray.kernels.myers_batch import myers_k_batch
+    from triple_accel_ray.kernels.batch import levenshtein_k_batch, to_byte_rows
     from triple_accel_ray.kernels.scalar import levenshtein_k_with_opts
     from triple_accel_ray.kernels.types import LEVENSHTEIN_COSTS
 
@@ -116,7 +118,9 @@ def test_force_path_parity():
         want.append(-1 if r is None else r[0])
     a_col = [p[0] for p in pairs]
     b_col = [p[1] for p in pairs]
-    assert myers_k_batch(a_col, b_col, k).tolist() == want
+    got = np.empty(len(pairs), np.int64)
+    native.levenshtein_k_unit(*to_byte_rows(a_col), *to_byte_rows(b_col), k, got)
+    assert got.tolist() == want
     assert levenshtein_k_batch(a_col, b_col, k).tolist() == want
     for h in hay:
         for st in (SEARCH_ALL, SEARCH_BEST):

@@ -1,24 +1,34 @@
-"""Batch (columnar, numpy-vectorized) kernels must agree exactly with the
-scalar oracle on every row — including the -1/None boundary — across cost
-models, lengths, and Arrow input types."""
+"""Batch kernels (the compiled unit-cost Myers and the numpy DP) must agree
+exactly with the scalar oracle on every row — including the -1/None
+boundary — across cost models, lengths, and Arrow input types; the
+compiled kernel's build fails loudly and is shared safely."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triple_accel_ray.kernels import LEVENSHTEIN_COSTS, RDAMERAU_COSTS, EditCosts
+from triple_accel_ray.kernels import LEVENSHTEIN_COSTS, RDAMERAU_COSTS, EditCosts, native
 from triple_accel_ray.kernels.batch import (
     hamming_batch,
     levenshtein_batch,
     levenshtein_k_batch,
+    to_byte_rows,
 )
 from triple_accel_ray.kernels.scalar import (
     hamming_dist,
     levenshtein_k_with_opts,
     levenshtein_with_opts,
 )
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def rand_str(rng, length):
@@ -168,9 +178,9 @@ def test_levenshtein_batch_sliced_arrays():
     ]
 
 
-def test_myers_batch_matches_scalar_mixed():
-    from triple_accel_ray.kernels.myers_batch import myers_k_batch
-
+def test_native_myers_matches_scalar_mixed():
+    """The compiled kernel, called on the flat buffers directly, with one
+    bound for every pair and with a per-pair bound array."""
     rng = random.Random(21)
     pairs = []
     for _ in range(300):
@@ -179,20 +189,27 @@ def test_myers_batch_matches_scalar_mixed():
             rng, rng.randrange(0, 300))
         pairs.append((a, b))
     pairs += [(b"", b""), (b"", b"abc"), (b"x" * 200, b""), (b"x" * 65, b"x" * 65)]
-    a_col = [p[0] for p in pairs]
-    b_col = [p[1] for p in pairs]
-    for k in (0, 3, 40, 1 << 30):
-        got = myers_k_batch(a_col, b_col, k)
+    # the best alignment starts with insertions (runs along row 0), in
+    # pairs whose length gap is the whole bound
+    pairs += [(b"ga", b"tgaga"), (b"\xd0", b"X\xd0\xdc$")]
+    pairs += [(a, rand_str(rng, 70) + a) for a, _ in pairs[:20]]
+    da, oa = to_byte_rows([p[0] for p in pairs])
+    db, ob = to_byte_rows([p[1] for p in pairs])
+    per_pair = np.array([rng.randrange(0, 60) for _ in pairs])
+    gaps = np.array([abs(len(a) - len(b)) for a, b in pairs])
+    for k in (0, 3, 40, 1 << 30, per_pair, gaps, gaps + 1):
+        got = np.empty(len(pairs), np.int64)
+        native.levenshtein_k_unit(da, oa, db, ob, k, got)
+        ks = np.broadcast_to(k, len(pairs))
         for i, (a, b) in enumerate(pairs):
-            r = levenshtein_k_with_opts(a, b, k)
+            r = levenshtein_k_with_opts(a, b, int(ks[i]))
             want = r[0] if r is not None else -1
-            assert got[i] == want, (i, k, got[i], want)
+            assert got[i] == want, (i, int(ks[i]), got[i], want)
 
 
 def test_levenshtein_k_batch_myers_tier_dispatch():
-    """Unit-cost long strings whose W-groups (W = 7-15 words) are all
-    below MYERS_MIN_TIER_PAIRS, so every pair stays on the banded DP;
-    results must equal the scalar oracle."""
+    """Unit-cost long strings (W = 7-15 words), which go to the compiled
+    kernel; results must equal the scalar oracle."""
     rng = random.Random(22)
     a_col, b_col = [], []
     for _ in range(60):
@@ -208,43 +225,157 @@ def test_levenshtein_k_batch_myers_tier_dispatch():
         want = r[0] if r is not None else -1
         assert got[i] == want, i
 def test_levenshtein_k_batch_mixed_tier_split(monkeypatch):
-    """One W-group of >= MYERS_MIN_TIER_PAIRS short pairs goes through the
-    batched Myers tier, every other width stays on the banded DP, and the
-    merged results equal the scalar oracle."""
-    from triple_accel_ray.kernels import myers_batch
-    from triple_accel_ray.kernels.batch import MYERS_MIN_TIER_PAIRS
-
+    """Unit costs send the whole column (every width, empty rows and
+    length-infeasible pairs alike) to the native kernel in one call; other
+    cost models never call it. Both results equal the scalar oracle."""
     rng = random.Random(23)
     a_col, b_col = [], []
-    for _ in range(MYERS_MIN_TIER_PAIRS + 44):
+    for _ in range(300):
         a = rand_str(rng, rng.randrange(13, 59))  # W = 1 after <= 3 edits
         a_col.append(a)
         b_col.append(mutate(rng, a, 3))
-    for _ in range(40):  # W = 2-4, each group far below the gate
+    for _ in range(40):  # W = 2-4
         a = rand_str(rng, rng.randrange(100, 250))
         a_col.append(a)
         b_col.append(mutate(rng, a, 10) if rng.random() < 0.7
                      else rand_str(rng, rng.randrange(100, 250)))
-    a_col += [b"", b"abc"]
-    b_col += [b"", b""]
-    w1 = [i for i, (a, b) in enumerate(zip(a_col, b_col))
-          if 1 <= min(len(a), len(b)) <= 64]
-    assert len(w1) == MYERS_MIN_TIER_PAIRS + 44
+    a_col += [b"", b"abc", b"x" * 90]
+    b_col += [b"", b"", b"x"]
 
     calls = []
-    real = myers_batch.myers_k_batch_rows
+    real = native.levenshtein_k_unit
 
-    def spy(da, oa, db, ob, rows, *args, **kw):
-        calls.append(np.sort(rows).tolist())
-        return real(da, oa, db, ob, rows, *args, **kw)
+    def spy(da, oa, db, ob, max_k, out):
+        calls.append(len(oa) - 1)
+        return real(da, oa, db, ob, max_k, out)
 
-    monkeypatch.setattr(myers_batch, "myers_k_batch_rows", spy)
+    monkeypatch.setattr(native, "levenshtein_k_unit", spy)
     k = 20
-    got = levenshtein_k_batch(a_col, b_col, k)
-    assert calls == [w1]
-    for i, (a, b) in enumerate(zip(a_col, b_col)):
+    for costs, want_calls in ((LEVENSHTEIN_COSTS, [len(a_col)]),
+                              (RDAMERAU_COSTS, [])):
+        calls.clear()
+        got = levenshtein_k_batch(a_col, b_col, k, costs)
+        assert calls == want_calls
+        for i, (a, b) in enumerate(zip(a_col, b_col)):
+            r = levenshtein_k_with_opts(a, b, k, False, costs)
+            want = r[0] if r is not None else -1
+            assert got[i] == want, (costs, i)
+
+
+# raw bytes including 0x00 and 0x80-0xFF; block edges of the 64-bit words
+_EDGE_LENS = (0, 1, 2, 63, 64, 65, 127, 128, 129, 300)
+_BYTES = st.sampled_from([0x00, 0x01, 0x41, 0x61, 0x7F, 0x80, 0xC3, 0xFF])
+
+
+@st.composite
+def _native_case(draw):
+    n_len = st.one_of(st.sampled_from(_EDGE_LENS), st.integers(0, 300))
+
+    def text():
+        n = draw(n_len)
+        return bytes(draw(st.lists(_BYTES, min_size=n, max_size=n)))
+
+    a = text()
+    kind = draw(st.sampled_from(["edit", "cut", "pad", "fresh"]))
+    if kind == "edit":
+        b = bytearray(a)
+        for op, pos, ch in draw(st.lists(st.tuples(
+                st.integers(0, 2), st.integers(0, 300), _BYTES), max_size=12)):
+            if op == 0 and b:
+                b[pos % len(b)] = ch
+            elif op == 1:
+                b.insert(pos % (len(b) + 1), ch)
+            elif b:
+                del b[pos % len(b)]
+        b = bytes(b)
+    elif kind == "cut":  # only a length gap
+        b = a[: draw(st.integers(0, len(a)))]
+    elif kind == "pad":  # insertions at both ends: alignments along row 0
+        b = bytes(draw(st.lists(_BYTES, max_size=70))) + a + bytes(
+            draw(st.lists(_BYTES, max_size=70)))
+    else:
+        b = text()
+    gap = abs(len(a) - len(b))
+    # from 0 to past the achievable maximum, and a length gap of exactly
+    # k or k + 1
+    k = draw(st.one_of(st.integers(0, max(len(a), len(b)) + 3),
+                       st.sampled_from([gap, max(0, gap - 1)])))
+    return (b, a, k) if draw(st.booleans()) else (a, b, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=st.lists(_native_case(), min_size=1, max_size=4))
+def test_native_kernel_equals_scalar(cases):
+    a_col = [c[0] for c in cases]
+    b_col = [c[1] for c in cases]
+    ks = np.array([c[2] for c in cases], np.int64)
+    got = np.empty(len(cases), np.int64)
+    native.levenshtein_k_unit(*to_byte_rows(a_col), *to_byte_rows(b_col), ks, got)
+    for i, (a, b, k) in enumerate(cases):
         r = levenshtein_k_with_opts(a, b, k)
-        want = r[0] if r is not None else -1
-        assert got[i] == want, i
+        assert got[i] == (-1 if r is None else r[0]), (i, len(a), len(b), k)
 
 
+def test_native_missing_compiler_raises(monkeypatch, tmp_path):
+    """No compiler: the first kernel call raises, and nothing is cached or
+    computed another way."""
+    monkeypatch.setattr(native, "GCC", str(tmp_path / "no-such-gcc"))
+    monkeypatch.setattr(native, "CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_LIB", None)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no-such-gcc"):
+            levenshtein_k_batch([b"kitten"], [b"sitting"], 3)
+    assert native._LIB is None
+    assert not (tmp_path / "cache").exists()
+
+
+def test_native_failed_build_raises_with_compiler_stderr(monkeypatch, tmp_path):
+    bad = tmp_path / "bad.c"
+    bad.write_text("int lev_k_unit(void) { return }\n")
+    monkeypatch.setattr(native, "SOURCE", str(bad))
+    monkeypatch.setattr(native, "CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_LIB", None)
+    with pytest.raises(RuntimeError, match="error"):
+        levenshtein_k_batch([b"kitten"], [b"sitting"], 3)
+    assert native._LIB is None
+    assert os.listdir(tmp_path / "cache") == []  # no temp or lock left
+
+
+def test_native_two_processes_build_one_library(tmp_path):
+    """Two processes released together into an empty cache dir build under
+    the lock, load the same library and leave only that library behind."""
+    cache, go = tmp_path / "cache", tmp_path / "go"
+    child = f"""
+import hashlib, os, sys, time
+sys.path.insert(0, {REPO!r})
+from triple_accel_ray.kernels import native
+from triple_accel_ray.kernels.batch import levenshtein_k_batch
+native.CACHE_DIR = {str(cache)!r}
+open(os.path.join({str(tmp_path)!r}, "ready-%d" % os.getpid()), "w").close()
+while not os.path.exists({str(go)!r}):
+    time.sleep(0.002)
+d = levenshtein_k_batch([b"kitten"], [b"sitting"], 3)[0]
+with open(native._lib()._name, "rb") as f:
+    print(native.kernel_hash(), hashlib.sha256(f.read()).hexdigest(), d)
+"""
+    procs = [subprocess.Popen([sys.executable, "-c", child], text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(2)]
+    try:
+        deadline = time.monotonic() + 120
+        while len(list(tmp_path.glob("ready-*"))) < 2:
+            assert time.monotonic() < deadline, "children did not start"
+            assert all(p.poll() is None for p in procs), procs[0].stderr.read()
+            time.sleep(0.01)
+        go.touch()
+        outs = [p.communicate(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait()
+    assert [p.returncode for p in procs] == [0, 0], [o[1] for o in outs]
+    lines = [o[0].split() for o in outs]
+    assert lines[0] == lines[1]
+    key, _, dist = lines[0]
+    assert dist == "3"
+    assert os.listdir(cache) == [key + ".so"]

@@ -1,24 +1,24 @@
-"""Columnar batch kernels: whole-batch vectorized distance computation.
+"""Columnar batch kernels: one result per row over columns of strings
+(pyarrow String/Binary arrays, numpy object arrays or Python lists).
 
-These operate on columns of strings (pyarrow String/Binary arrays, numpy
-object arrays or Python lists) and compute one result per row, vectorized
-with numpy ACROSS the pair dimension — the engine's answer to the
-reference's SIMD lanes (/root/reference/src/jewel.rs): instead of 32 byte
-lanes per register, every numpy op spans all pairs in the batch.
+``levenshtein_k_batch`` has two engines, chosen by the cost model alone:
+  * unit costs without transpositions (the ER scorer's model) go to the
+    compiled banded block Myers in ``_myers.c`` (``native.py``), one call
+    for the whole column with a per-pair bound — the engine's answer to the
+    reference's compiled bit-parallel core (levenshtein.rs:829-1283);
+  * every other cost model runs a banded DP vectorized with numpy ACROSS
+    the pair dimension (band half-width = the chunk's max ``unit_k``,
+    per-pair None/Some decided against each pair's own ``max_k`` — same
+    boundary as the reference's banded algorithm, levenshtein.rs:376-607)
+    with affine gaps via a prefix-min closure over the row (the horizontal
+    gap recurrence ``min_{s<j} E[s] + start + (j-s)*gap`` is a running min
+    of ``E[s] - s*gap``, so no per-cell Python loop exists anywhere),
+    optional transpositions (restricted Damerau) via the two-rows-back
+    diagonal, and an early exit once a pair's band minimum exceeds its
+    ``max_k``.
 
-``levenshtein_k_batch`` runs a banded DP (band half-width = the chunk's max
-``unit_k``, per-pair None/Some decided against each pair's own
-``max_k`` — same boundary as the reference's banded algorithm,
-levenshtein.rs:376-607) with:
-  * affine gaps via a prefix-min closure over the row (the horizontal gap
-    recurrence ``min_{s<j} E[s] + start + (j-s)*gap`` is a running min of
-    ``E[s] - s*gap``), so no per-cell Python loop exists anywhere;
-  * optional transpositions (restricted Damerau) via the two-rows-back
-    diagonal;
-  * early exit: a pair whose current band minimum exceeds its ``max_k`` can
-    never come back under it; fully-decided chunks stop iterating.
-
-Outputs are differential-tested against the scalar oracle in
+Tracing (``levenshtein_k_batch_trace``) always runs the numpy DP. Outputs
+are differential-tested against the scalar oracle in
 ``tests/test_batch_kernels.py``.
 """
 
@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import native
 from .types import EditCosts, LEVENSHTEIN_COSTS
 
 __all__ = [
@@ -38,22 +39,6 @@ __all__ = [
 ]
 
 _INF = np.int64(1) << 40
-
-# unit-cost pairs route to the batched BANDED multi-word Myers kernel
-# (myers_batch.py) ONLY in word-count groups large enough to amortize its
-# dispatch cost. The kernel chunks pairs by W = ceil(m/64) (its register
-# file is per-W), and its per-chunk cost is numpy-dispatch-bound (~band
-# words x ~25 ops per text char REGARDLESS of pair count) — so what
-# matters is the size of each W-GROUP, not of the whole call. Measured on
-# the real ER pair workload (round 3, sf0.1 pairs, doc lengths p10-p90 =
-# 323-1041 so W spans ~5-17): a 512-pair scoring batch fragments into
-# 15-25 W-groups of 1-40 pairs each and whole-call Myers runs 3.2x
-# SLOWER than the banded DP (202s vs 63s single-core), while at 8192-pair
-# batches (W-groups of several hundred) Myers is faster (46s vs 51s).
-# Round 2's whole-call >=256-pairs gate missed this and regressed the ER
-# edges stage 2.5x (VERDICT r2); the per-W-group gate keeps both regimes
-# on their winning path at any batch size.
-MYERS_MIN_TIER_PAIRS = 256
 
 
 def to_byte_rows(col) -> Tuple[np.ndarray, np.ndarray]:
@@ -164,7 +149,8 @@ def bag_distance_batch(col_a, col_b) -> np.ndarray:
     byte multisets — a lower bound on unit-cost edit distance (each
     substitute/insert/delete changes the multiset by at most one element;
     transpositions don't change it at all). One bincount pass over the flat
-    bytes; used as a cheap pre-DP reject for dissimilar pairs.
+    bytes. The compiled unit-cost kernel applies the same bound per pair
+    before its Myers pass.
     """
     da, oa = to_byte_rows(col_a)
     db, ob = to_byte_rows(col_b)
@@ -235,34 +221,20 @@ def levenshtein_k_batch(
     if n == 0:
         return out
 
-    short_len = np.minimum(lens_a, lens_b)
-    long_len = np.maximum(lens_a, lens_b)
     k_arr = np.asarray(k, dtype=np.int64)
-    max_k, unit_k = _max_k_unit_k(short_len, long_len, k_arr, costs)
-    feasible = (long_len - short_len) <= unit_k
-
-    todo = np.nonzero(feasible)[0]
-    if todo.size == 0:
-        return out
-
-    # unit-cost banded-Myers tier (see MYERS_MIN_TIER_PAIRS above): route
-    # only pairs whose W-group is big enough; the rest stay on the DP
-    unit = (
+    if (
         costs.mismatch_cost == 1 and costs.gap_cost == 1
         and costs.start_gap_cost == 0 and not costs.allow_transpose
-    )
-    if unit:
-        w_grp = (short_len[todo] + 63) >> 6
-        _, inv, cnt = np.unique(w_grp, return_inverse=True, return_counts=True)
-        myers_sel = cnt[inv] >= MYERS_MIN_TIER_PAIRS
-        if myers_sel.any():
-            from .myers_batch import myers_k_batch_rows
+    ):
+        native.levenshtein_k_unit(da, oa, db, ob, k_arr, out)
+        return out
 
-            mrows = todo[myers_sel]
-            myers_k_batch_rows(da, oa, db, ob, mrows, max_k[mrows], out)
-            todo = todo[~myers_sel]
-            if todo.size == 0:
-                return out
+    short_len = np.minimum(lens_a, lens_b)
+    long_len = np.maximum(lens_a, lens_b)
+    max_k, unit_k = _max_k_unit_k(short_len, long_len, k_arr, costs)
+    todo = np.nonzero((long_len - short_len) <= unit_k)[0]
+    if todo.size == 0:
+        return out
 
     # order by (band width, row length) so chunks have homogeneous DP
     # shapes — a chunk's band is its max unit_k, so mixing narrow- and

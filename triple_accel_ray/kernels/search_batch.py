@@ -101,7 +101,8 @@ def _multiword_scan(needle, data, offsets, k, semi_global, rows=None,
         live_from = np.searchsorted(
             lens[c0:c1], np.arange(1, maxlen + 1)).tolist()
         # ghost bits above m in the last word carry garbage upward only —
-        # they never reach bit hi or below (same argument as myers_batch)
+        # they never reach bit hi or below (carries run from low bits to
+        # high bits, never back)
         PV = np.full((W, nr), np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64)
         MV = np.zeros((W, nr), np.uint64)
         SC = np.full(nr, m, np.uint64)  # D[m][j], never negative

@@ -115,10 +115,10 @@ _DOCS_PER_PAIR_BUCKET = 1500
 def _score_batch_size(cfg: PipelineConfig, n_pairs_est: int) -> int:
     """Scoring batch size for an (estimated) total pair count: grows from
     cfg.score_batch_size toward cfg.score_batch_max while keeping >= 4
-    batches per cluster CPU (load balance). Small batches fragment into
-    tiny W-groups that are pure numpy-dispatch overhead (measured
-    single-core on the sf0.1 pair mix: 62.7 core-s at bs=512 vs 51.0 at
-    bs=8192)."""
+    batches per cluster CPU (load balance). Sized when the unit-cost
+    kernels were numpy, whose per-call dispatch made small batches dear
+    (single-core on the sf0.1 pair mix: 62.7 core-s at bs=512 vs 51.0 at
+    bs=8192); whether it still pays with the compiled kernel is open."""
     import ray
 
     ncpus = int(ray.cluster_resources().get("CPU", 0)) or 32

@@ -1,13 +1,12 @@
 """Stage 4: candidate pairs → scored pairs (the kernel hot loop).
 
-Ray-Data shape: a stateless ``map_batches`` whose body is the
-whole-batch banded DP from ``kernels.batch`` (numpy across the pair
-dimension — no per-row Python). Fast paths per batch, in order:
-
-  1. exact equality (``pyarrow.compute.equal``) → dist 0, no DP;
-  2. per-pair bound k = clip(rel_k·max_len, abs_min_k, abs_max_k); pairs
-     whose length gap exceeds the band are -1 without touching the DP;
-  3. banded DP with early exit for the rest.
+Ray-Data shape: a stateless ``map_batches`` whose body is ONE
+``kernels.batch.levenshtein_k_batch`` call per batch, with a per-pair
+bound k = clip(rel_k·max_len, abs_min_k, abs_max_k). For unit costs that
+call is the compiled banded Myers, which screens each pair itself (length
+gap over k, exact equality, bag-distance bound) and steps only the band
+that can still finish within that pair's k, so narrow-k pairs stay cheap
+next to wide ones in the same batch.
 
 This stage mirrors the reference's role split exactly: the engine moves the
 data, the kernel (triple_accel semantics, levenshtein.rs:376-607) decides
@@ -20,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..kernels.batch import bag_distance_batch, levenshtein_k_batch, to_byte_rows
+from ..kernels.batch import levenshtein_k_batch, to_byte_rows
 from ..kernels.types import EditCosts, LEVENSHTEIN_COSTS
 
 
@@ -53,49 +52,7 @@ class PairScorer:
             self.abs_max_k,
         )
 
-        equal = pc.equal(
-            a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a,
-            b.combine_chunks() if isinstance(b, pa.ChunkedArray) else b,
-        ).to_numpy(zero_copy_only=False)
-        equal = np.asarray(equal, dtype=bool)
-
-        dist = np.full(batch.num_rows, -1, dtype=np.int64)
-        dist[equal] = 0
-        # bag-distance lower bound: dist >= bag * min(mismatch, gap); pairs
-        # whose bound already exceeds their k never touch the DP.
-        bag = bag_distance_batch(a, b) * min(
-            self.costs.mismatch_cost, self.costs.gap_cost
-        )
-        todo = np.nonzero(~equal & (bag <= kvec))[0]
-        # per-pair exponential search on k (the reference's levenshtein_exp
-        # schedule, levenshtein.rs:1445-1454, vectorized): each pair starts
-        # at a power-of-two informed by its bag lower bound (so the first,
-        # narrow-band DP usually resolves it) and doubles only on failure.
-        # Identical results to a single full-k run — a k-bounded DP's
-        # Some/None boundary is exact at every k.
-        if todo.size:
-            # start rung: first power of two covering ~the bag estimate, so
-            # most pairs resolve in ONE uniform-k call (a call mixes one k
-            # only — the chunk band is the call's max k, so heterogeneous k
-            # in one call makes narrow pairs pay the widest band)
-            start = np.maximum(8, np.ceil(1.25 * bag[todo]).astype(np.int64) + 4)
-            rung = (1 << np.ceil(np.log2(start)).astype(np.int64))
-            rung = np.minimum(rung, kvec[todo])
-            while todo.size:
-                kb = int(rung.min())
-                grp = rung == kb
-                run = todo[grp]
-                k_sub = np.minimum(kb, kvec[run])
-                sub = batch.take(pa.array(run))
-                d = levenshtein_k_batch(
-                    sub["a_text"], sub["b_text"], k_sub, self.costs
-                )
-                dist[run] = d
-                done = (d >= 0) | (k_sub >= kvec[run])
-                next_rung = np.minimum(kb * 2, kvec[run][~done])
-                todo = np.concatenate([run[~done], todo[~grp]])
-                rung = np.concatenate([next_rung, rung[~grp]])
-
+        dist = levenshtein_k_batch(a, b, kvec, self.costs)
         sim = np.where(
             dist >= 0,
             1.0 - dist / np.maximum(1, max_len),

@@ -558,6 +558,9 @@ sig_pairs AS (
    AND a.doc_len // {W} = b.doc_len // {W}
    AND a.conv_id < b.conv_id
 )"""
+    # edges is MATERIALIZED: DuckDB otherwise inlines a CTE at every
+    # reference, re-running the unbounded levenshtein over sig_pairs for
+    # each (the graph oracles read edges several times over)
     scored_cte = """
 scored AS (
   SELECT a_id, b_id,
@@ -566,7 +569,7 @@ scored AS (
          GREATEST(a_len, b_len) AS max_len
   FROM sig_pairs
 ),
-edges AS (
+edges AS MATERIALIZED (
   SELECT a_id, b_id,
          CASE WHEN lev <= k THEN lev ELSE -1 END AS dist,
          CASE WHEN lev <= k THEN 1.0 - CAST(lev AS DOUBLE) / max_len ELSE 0.0 END AS sim

@@ -370,9 +370,8 @@ def register(q):
 
         from ray.data.aggregate import Sum
 
-        # batch_size=None: score each bucket-join output whole; the
-        # banded-Myers tier is W-group-gated, so bigger batches keep it
-        # engaged instead of fragmenting into per-group DP
+        # batch_size=None: score each bucket-join output whole, in one
+        # kernel call
         return (
             with_texts.map_batches(_score, batch_format="pyarrow",
                                    batch_size=None)

@@ -82,13 +82,14 @@ SELECT conv_id, count(*)::BIGINT AS n_triangles FROM verts GROUP BY conv_id"""
     # integer fixed-point PageRank: floor divides + integer sums only,
     # so three chained CTEs replay the engine's iterations bit-for-bit
     # (// is integer division in DuckDB; all values non-negative, so
-    # trunc == floor).
+    # trunc == floor). de and deg, read by every round, are MATERIALIZED
+    # so DuckDB does not inline them at each reference.
     o["er_pagerank"] = f"""
 WITH {docs_cte}, {sig_pairs_cte}, {scored_cte},
 e0 AS (SELECT a_id, b_id FROM edges),
-de AS (SELECT a_id AS src, b_id AS dst FROM e0
+de AS MATERIALIZED (SELECT a_id AS src, b_id AS dst FROM e0
        UNION ALL SELECT b_id, a_id FROM e0),
-deg AS (SELECT src AS node, count(*)::BIGINT AS deg FROM de GROUP BY 1),
+deg AS MATERIALIZED (SELECT src AS node, count(*)::BIGINT AS deg FROM de GROUP BY 1),
 nn AS (SELECT count(*)::BIGINT AS n FROM deg),
 pr0 AS (SELECT node, (1000000000000 // nn.n)::BIGINT AS pr FROM deg, nn),
 s1 AS (SELECT de.dst AS node, sum(p.pr // d.deg)::BIGINT AS s
@@ -118,19 +119,21 @@ SELECT node AS conv_id, pr FROM pr3"""
     # degrees over the subgraph induced by the previous survivors; a
     # survivor absent from the next degree table has degree 0 < k and is
     # correctly dropped by the d >= k filter (it has no d-row at all).
+    # Each round's survivors and edges are read twice by the next round,
+    # so they are MATERIALIZED rather than inlined.
     _kc = []
     for _i in range(1, 4):
         _prev = "de0" if _i == 1 else f"de{_i - 1}"
         _kc.append(f"""d{_i} AS (SELECT src AS node, count(*)::BIGINT AS d
        FROM {_prev} GROUP BY 1),
-a{_i} AS (SELECT node FROM d{_i} WHERE d >= 2),
-de{_i} AS (SELECT src, dst FROM {_prev}
+a{_i} AS MATERIALIZED (SELECT node FROM d{_i} WHERE d >= 2),
+de{_i} AS MATERIALIZED (SELECT src, dst FROM {_prev}
        WHERE src IN (SELECT node FROM a{_i})
          AND dst IN (SELECT node FROM a{_i}))""")
     o["er_kcore2"] = f"""
 WITH {docs_cte}, {sig_pairs_cte}, {scored_cte},
 e0 AS (SELECT a_id, b_id FROM edges),
-de0 AS (SELECT a_id AS src, b_id AS dst FROM e0
+de0 AS MATERIALIZED (SELECT a_id AS src, b_id AS dst FROM e0
         UNION ALL SELECT b_id, a_id FROM e0),
 {','.join(_kc)},
 dfin AS (SELECT src AS node, count(*)::BIGINT AS d FROM de3 GROUP BY 1)
