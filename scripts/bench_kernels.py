@@ -4,7 +4,8 @@ lengths {10, 100, 1000} with k = len/10, and search over haystacks
 {100, 1000} with needle = len/10, k = len/100, planted matches = len/20.
 
 The reference publishes no absolute numbers (BASELINE.md) — this records
-ours, per batch-kernel call and per pair, single process; each column-search
+ours, per batch-kernel call and per pair, single process; ``lev_simd_k_*``
+rows time the single-pair API one call per pair, and each column-search
 row is the median of COLUMN_REPS calls. Run:
     python scripts/bench_kernels.py
 """
@@ -27,6 +28,8 @@ from triple_accel_ray.kernels import (  # noqa: E402
     SEARCH_ALL,
     hamming_search_naive_with_opts,
     levenshtein_search_naive_with_opts,
+    levenshtein_search_simd_with_opts,
+    levenshtein_simd_k,
 )
 from triple_accel_ray.kernels.batch import (  # noqa: E402
     hamming_batch,
@@ -80,6 +83,15 @@ def main():
         out[f"lev_k_len{length}"] = {
             "pairs_per_sec": round(n / dt), "k": k, "n": n}
 
+        # the single-pair API, one call per pair on the same pairs
+        n1 = n // 4
+        t0 = time.perf_counter()
+        for x, y in zip(a[:n1], b[:n1]):
+            levenshtein_simd_k(x, y, k)
+        dt = time.perf_counter() - t0
+        out[f"lev_simd_k_len{length}"] = {
+            "us_per_pair": round(1e6 * dt / n1, 2), "k": k, "n": n1}
+
         a_h = [rand_str(rng, length) for _ in range(n)]
         b_h = []
         for s in a_h:
@@ -93,7 +105,8 @@ def main():
         dt = time.perf_counter() - t0
         out[f"hamming_len{length}"] = {"pairs_per_sec": round(n / dt), "n": n}
 
-    # search workloads (scalar kernels; one haystack per call)
+    # search workloads, one haystack per call: the scalar oracle and the
+    # API's unit-cost path (the compiled engine on a one-row column)
     for hlen in (100, 1000):
         nlen = max(1, hlen // 10)
         k = max(1, hlen // 100)
@@ -111,7 +124,13 @@ def main():
         for needle, hay in cases:
             list(levenshtein_search_naive_with_opts(needle, hay, k, SEARCH_ALL))
         dt = time.perf_counter() - t0
-        out[f"lev_search_h{hlen}"] = {"haystacks_per_sec": round(n / dt)}
+        t0 = time.perf_counter()
+        for needle, hay in cases:
+            levenshtein_search_simd_with_opts(needle, hay, k, SEARCH_ALL)
+        dt_simd = time.perf_counter() - t0
+        out[f"lev_search_h{hlen}"] = {
+            "haystacks_per_sec": round(n / dt),
+            "simd_haystacks_per_sec": round(n / dt_simd)}
 
         t0 = time.perf_counter()
         for needle, hay in cases:
@@ -163,7 +182,6 @@ def main():
     import pyarrow as pa
 
     from triple_accel_ray.ops.search import levenshtein_search_column
-    from triple_accel_ray.kernels import levenshtein_search_simd_with_opts
 
     needle = b"needletext"
     for density, every in (("sparse", 100), ("dense", 7)):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from triple_accel_ray.kernels import LEVENSHTEIN_COSTS, RDAMERAU_COSTS, EditCosts, native
 from triple_accel_ray.kernels.batch import (
+    bag_distance_batch,
     hamming_batch,
     levenshtein_batch,
     levenshtein_k_batch,
@@ -75,6 +76,35 @@ def test_hamming_batch_matches_scalar():
     got = hamming_batch(pa.array(a_col, pa.binary()), pa.array(b_col, pa.binary()))
     want = [hamming_dist(x, y) for x, y in zip(a_col, b_col)]
     assert got.tolist() == want
+
+
+def test_bag_distance_batch_matches_counter():
+    """The compiled bag distance equals max(|A - B|, |B - A|) over
+    ``collections.Counter`` byte multisets on random, empty and non-ASCII
+    rows, from Python lists and from sliced Arrow arrays."""
+    from collections import Counter
+
+    rng = random.Random(41)
+    a = [b"", b"", b"abc", "héllo wörld".encode(), bytes(range(256)),
+         b"\x00\x00\xff"]
+    b = [b"", b"xyz", b"", "hello world".encode(), bytes(range(255, -1, -1)),
+         b"\x00\xff\xff\xfe"]
+    for _ in range(300):
+        x = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 90)))
+        a.append(x)
+        b.append(mutate(rng, x, 20) if rng.random() < 0.5 else
+                 bytes(rng.randrange(256) for _ in range(rng.randrange(0, 90))))
+
+    def bag(x, y):
+        cx, cy = Counter(x), Counter(y)
+        return max(sum((cx - cy).values()), sum((cy - cx).values()))
+
+    want = [bag(x, y) for x, y in zip(a, b)]
+    assert bag_distance_batch(a, b).tolist() == want
+    pa_a = pa.array(a, pa.binary()).slice(3)
+    pa_b = pa.array(b, pa.binary()).slice(3)
+    assert bag_distance_batch(pa_a, pa_b).tolist() == want[3:]
+    assert bag_distance_batch([], []).tolist() == []
 
 
 def test_hamming_batch_rejects_unequal():

@@ -8,16 +8,17 @@ from triple_accel_ray.kernels import (
     RDAMERAU_COSTS,
     SEARCH_ALL,
     SEARCH_BEST,
+    levenshtein_search_simd_with_opts,
+    levenshtein_simd_k,
 )
 from triple_accel_ray.kernels.batch import levenshtein_k_batch
-from triple_accel_ray.kernels.myers import myers_distance
 from triple_accel_ray.kernels.scalar import (
     hamming_dist,
     levenshtein_k_with_opts,
     levenshtein_search_with_opts,
     levenshtein_with_opts,
 )
-from triple_accel_ray.kernels.search_fast import levenshtein_search_myers
+from triple_accel_ray.kernels.types import U32_MAX
 
 bytestr = st.binary(max_size=40)
 small_k = st.integers(min_value=0, max_value=12)
@@ -26,7 +27,7 @@ small_k = st.integers(min_value=0, max_value=12)
 @settings(max_examples=200, deadline=None)
 @given(a=bytestr, b=bytestr)
 def test_myers_equals_full_dp(a, b):
-    assert myers_distance(a, b) == levenshtein_with_opts(a, b)[0]
+    assert levenshtein_simd_k(a, b, U32_MAX) == levenshtein_with_opts(a, b)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -57,7 +58,7 @@ def test_batch_kernel_equals_scalar(a, b, k):
 )
 def test_search_fast_equals_scalar(needle, hay, k, mode):
     want = levenshtein_search_with_opts(needle, hay, k, mode)
-    got = levenshtein_search_myers(needle, hay, k, mode)
+    got = levenshtein_search_simd_with_opts(needle, hay, k, mode)
     assert got == want
 
 

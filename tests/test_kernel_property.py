@@ -17,9 +17,10 @@ from triple_accel_ray.kernels import (
     EditCosts,
     levenshtein_naive_k_with_opts,
     levenshtein_naive_with_opts,
+    levenshtein_simd_k,
     levenshtein_simd_k_with_opts,
 )
-from triple_accel_ray.kernels.myers import myers_distance
+from triple_accel_ray.kernels.types import U32_MAX
 
 
 def rand_str(rng, length):
@@ -49,7 +50,7 @@ def test_myers_and_banded_match_full_dp(length):
         a = rand_str(rng, length)
         b = mutate(rng, a, k)
         want = levenshtein_naive_with_opts(a, b)[0]
-        assert myers_distance(a, b) == want
+        assert levenshtein_simd_k(a, b, U32_MAX) == want
         banded = levenshtein_naive_k_with_opts(a, b, 4 * k + 4)
         assert banded is not None and banded[0] == want
         fast = levenshtein_simd_k_with_opts(a, b, 4 * k + 4)

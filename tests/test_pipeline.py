@@ -541,9 +541,11 @@ def test_fixture_cache_keyed_on_generator(tmp_path, monkeypatch):
     assert os.path.exists(tp)  # the first corpus is left untouched
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_er_pipeline_no_matches(ray_session, tmp_path):
     """A corpus with no candidate pairs at all (every doc distinct) runs
-    through both modes: every doc is its own cluster."""
+    through both modes, with no warning from reading an empty stage:
+    every doc is its own cluster."""
     import pyarrow.parquet as pq
 
     from triple_accel_ray.pipeline import PipelineConfig, run_er_pipeline

@@ -121,13 +121,10 @@ def test_levenshtein_search_column_long_needle():
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 128])
-def test_levenshtein_search_column_word_boundaries(m, monkeypatch):
+def test_levenshtein_search_column_word_boundaries(m):
     """Needle lengths around one 64-bit word, haystacks shorter and longer
     than the needle, k below and at-or-above m (the position-0 empty
-    match), ALL and BEST; once with the default chunking and once with
-    chunks of a few rows and a few gathered steps."""
-    from triple_accel_ray.kernels import search_batch
-
+    match), ALL and BEST."""
     rng = random.Random(100 + m)
     needle = bytes(rng.randrange(97, 100) for _ in range(m))
     texts = []
@@ -139,17 +136,37 @@ def test_levenshtein_search_column_word_boundaries(m, monkeypatch):
             t[p:p + m] = needle
         texts.append(bytes(t).decode())
     t = pa.table({"doc_id": list(range(len(texts))), "text": texts})
-    cases = []
     for st in (SEARCH_ALL, SEARCH_BEST):
         for k in sorted({m // 8, m, m + 2}):
             want = expected(levenshtein_search_naive_with_opts, needle,
                             texts, k, st)
-            cases.append((st, k, sorted(want)))
-    for small in (False, True):
-        if small:  # 5 rows a chunk, 2-3 steps a gather
-            monkeypatch.setattr(search_batch, "_CHUNK_WORDS",
-                                5 * ((m + 63) >> 6))
-            monkeypatch.setattr(search_batch, "_GATHER_BYTES", 13)
-        for st, k, want in cases:
             out = levenshtein_search_column(t, needle, k, st)
-            assert sorted(got_rows(out)) == want, (st, k, small)
+            assert sorted(got_rows(out)) == sorted(want), (st, k)
+
+
+@pytest.mark.parametrize("m", [1, 3, 70])
+def test_myers_search_column_hit_stream(m):
+    """The compiled scan's raw (row, end, cost, start) stream equals every
+    scalar Sellers hit (ALL mode, less the position-0 empty match) on
+    columns with empty rows, rows shorter than the needle (m > n) and
+    rows holding the needle, at k below, at and above m."""
+    from triple_accel_ray.kernels.batch import to_byte_rows
+    from triple_accel_ray.kernels.search_batch import myers_search_column
+
+    rng = random.Random(200 + m)
+    needle = bytes(rng.randrange(97, 100) for _ in range(m))
+    texts = [b"", needle[: m // 2], b"", needle, b"x" * (m + 5)]
+    for _ in range(6):
+        t = bytearray(rng.randrange(97, 100)
+                      for _ in range(rng.randrange(0, 3 * m + 4)))
+        t[len(t) // 2:len(t) // 2] = needle
+        texts.append(bytes(t))
+    texts.append(b"")
+    data, offsets = to_byte_rows(texts)
+    for k in sorted({0, m // 2, m, m + 1}):
+        got = list(zip(*(a.tolist() for a in
+                         myers_search_column(needle, data, offsets, k))))
+        want = [(r, mm.end, mm.k, mm.start) for r, t in enumerate(texts)
+                for mm in levenshtein_search_naive_with_opts(
+                    needle, t, k, SEARCH_ALL) if mm.end]
+        assert got == want, k

@@ -1,4 +1,5 @@
-"""Differential tests: the Myers search fast path must produce the exact
+"""Differential tests: the compiled Myers search path
+(``levenshtein_search_simd_with_opts`` at unit costs) must produce the exact
 Match lists of the scalar Sellers oracle — All and Best modes, planted
 matches, overlapping matches, edge cases — mirroring the reference's
 SIMD == scalar bench assertions (rand_benchmarks.rs:45-46, 113-114)."""
@@ -7,9 +8,12 @@ import random
 
 import pytest
 
-from triple_accel_ray.kernels import SEARCH_ALL, SEARCH_BEST
+from triple_accel_ray.kernels import (
+    SEARCH_ALL,
+    SEARCH_BEST,
+    levenshtein_search_simd_with_opts,
+)
 from triple_accel_ray.kernels.scalar import levenshtein_search_with_opts
-from triple_accel_ray.kernels.search_fast import levenshtein_search_myers
 
 
 def rand_str(rng, n):
@@ -44,7 +48,7 @@ def test_matches_scalar_on_planted_corpora(hlen, search_type):
             hay[pos : pos + min(len(rep), hlen - pos)] = rep[: hlen - pos]
         hay = bytes(hay)
         want = levenshtein_search_with_opts(needle, hay, k, search_type)
-        got = levenshtein_search_myers(needle, hay, k, search_type)
+        got = levenshtein_search_simd_with_opts(needle, hay, k, search_type)
         assert got == want, (needle, hay, k, search_type)
 
 
@@ -60,12 +64,28 @@ def test_matches_scalar_small_random(search_type):
         hay = bytes(rng.choice(alphabet) for _ in range(n))
         for k in (0, 1, 2, m):
             want = levenshtein_search_with_opts(needle, hay, k, search_type)
-            got = levenshtein_search_myers(needle, hay, k, search_type)
+            got = levenshtein_search_simd_with_opts(needle, hay, k, search_type)
             assert got == want, (needle, hay, k, search_type)
 
 
+@pytest.mark.parametrize("search_type", [SEARCH_ALL, SEARCH_BEST])
+def test_long_needles_empty_and_short_haystacks(search_type):
+    """Needles over 512 bytes, empty haystacks and haystacks shorter than
+    the needle (m > n) through the single-haystack API."""
+    rng = random.Random(31)
+    for m in (513, 700):
+        needle = bytes(rng.randrange(97, 100) for _ in range(m))
+        hay = bytearray(rng.randrange(97, 100) for _ in range(m + 150))
+        hay[60:60] = mutate(rng, needle, 8)
+        for h, k in ((bytes(hay), 10), (bytes(hay), 60), (b"", m),
+                     (needle[: m - 20], 25), (needle[5:400], m - 300)):
+            want = levenshtein_search_with_opts(needle, h, k, search_type)
+            got = levenshtein_search_simd_with_opts(needle, h, k, search_type)
+            assert got == want, (m, len(h), k)
+
+
 def test_reference_vectors_through_fast_path():
-    from triple_accel_ray.kernels import Match, levenshtein_search_simd_with_opts
+    from triple_accel_ray.kernels import Match
 
     assert levenshtein_search_simd_with_opts(
         b"bcc", b"abcde", 1, SEARCH_ALL

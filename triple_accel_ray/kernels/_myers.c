@@ -1,19 +1,25 @@
-/* Unit-cost k-bounded edit distance over a batch of byte-string pairs.
+/* Unit-cost edit distance and fuzzy search over byte strings.
 
-   Banded block Myers (Myers 1999, block carries after Hyyro 2003, the
-   edlib layout): the shorter string is the pattern, cut into 64-row
-   blocks, and the longer one is scanned one column at a time. Only the
-   blocks that can still hold a cell of an alignment costing <= k are
-   stepped: the rows of column j that lie within k of both corners, minus
-   leading blocks whose every cell is already over k. That is at most
-   k / 64 + 2 words per column, and a pair stops as soon as no live cell
-   is left. A 256-bin bag-distance bound rejects dissimilar pairs first.
+   One Myers engine (Myers 1999, block carries after Hyyro 2003, the edlib
+   layout) behind three entries:
+   - lev_k_unit / lev_k_pair: k-bounded distance of a batch of pairs, or
+     of one pair. The shorter string is the pattern, cut into 64-row
+     blocks, and the longer one is scanned one column at a time. Only the
+     blocks that can still hold a cell of an alignment costing <= k are
+     stepped: the rows of column j that lie within k of both corners,
+     minus leading blocks whose every cell is already over k. That is at
+     most k / 64 + 2 words per column, and a pair stops as soon as no live
+     cell is left. A 256-bin bag-distance bound rejects dissimilar pairs
+     first (bag_unit exposes it on its own).
+   - lev_search_unit: semi-global search of one needle over a column of
+     haystacks (row 0 pinned to 0, so a match may start anywhere), then a
+     reverse global scan per hit for its start.
 
-   Exactness: a computed cell is never below the true distance (a dropped
-   top block feeds the live ones +1 per column, a new bottom block starts
-   at +1 per row below its neighbour), and every cell of an optimal
-   alignment costing <= k stays live, so a result <= k is exact.
-   Built and loaded by native.py. */
+   Exactness of the banded distance: a computed cell is never below the
+   true distance (a dropped top block feeds the live ones +1 per column, a
+   new bottom block starts at +1 per row below its neighbour), and every
+   cell of an optimal alignment costing <= k stays live, so a result <= k
+   is exact. Built and loaded by native.py. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -50,6 +56,9 @@ static void load_block(u64 *slab, const uint8_t *p, int64_t m, int64_t b)
         slab[p[i]] |= (u64)1 << (i - r0);
 }
 
+/* Bag distance: max(#bytes only in a, #bytes only in b) over the byte
+   multisets, a lower bound on unit-cost edit distance. hist is 256 zeroed
+   counters and is left zeroed. */
 static int64_t bag_distance(const uint8_t *a, int64_t la, const uint8_t *b,
                             int64_t lb, int64_t *hist)
 {
@@ -186,4 +195,109 @@ int lev_k_unit(int64_t n, const uint8_t *da, const int64_t *oa,
     }
     free(eq), free(P), free(M), free(S);
     return 0;
+}
+
+/* lev_k_unit for one pair; -2 if scratch memory could not be allocated. */
+int64_t lev_k_pair(const uint8_t *a, int64_t la, const uint8_t *b, int64_t lb,
+                   int64_t max_k)
+{
+    int64_t oa[2] = {0, la}, ob[2] = {0, lb}, out;
+    return lev_k_unit(1, a, oa, b, ob, &max_k, &out) ? -2 : out;
+}
+
+/* out[i] = bag distance of rows i of (da, oa) and (db, ob). */
+void bag_unit(int64_t n, const uint8_t *da, const int64_t *oa,
+              const uint8_t *db, const int64_t *ob, int64_t *out)
+{
+    int64_t hist[256] = {0};
+    for (int64_t i = 0; i < n; i++)
+        out[i] = bag_distance(da + oa[i], oa[i + 1] - oa[i], db + ob[i],
+                              ob[i + 1] - ob[i], hist);
+}
+
+/* One text column through all w blocks of a full (unbanded) pattern: eq is
+   the text byte's w words, h the horizontal delta entering row 0 (0 in a
+   search, where a match may start anywhere; +1 in a global alignment).
+   Returns the change of the last row's cell. */
+static inline int column(u64 *P, u64 *M, const u64 *eq, int64_t w, int h,
+                         u64 last)
+{
+    for (int64_t b = 0; b < w - 1; b++)
+        h = step(&P[b], &M[b], eq[b], h, (u64)1 << 63);
+    return step(&P[w - 1], &M[w - 1], eq[w - 1], h, last);
+}
+
+/* Every (row, end, cost) with cost = D[m][end] <= k of the semi-global
+   (Sellers) DP of needle p (m >= 1) over each row of (d, o), ordered by
+   (row, end), plus each hit's start: the longest match, end minus the
+   largest q with lev(p, row[end - q:end]) == cost. q is found by a global
+   scan of the reversed needle over the reversed row from end, which reads
+   lev(p, row[end - q:end]) after q bytes; as that is >= q - m, q <= m +
+   cost bounds the scan. *out gets a malloc'd array of count * 4 int64
+   (row, end, cost, start), freed with lev_free. Returns count, or -1 if
+   memory could not be allocated. */
+int64_t lev_search_unit(const uint8_t *p, int64_t m, int64_t n,
+                        const uint8_t *d, const int64_t *o, int64_t k,
+                        int64_t **out)
+{
+    int64_t w = (m + 63) >> 6, cnt = 0, cap = 0, *h = NULL;
+    u64 last = (u64)1 << ((m - 1) & 63);
+    u64 *eq = calloc(2 * 256 * w, sizeof(u64)), *req = eq + 256 * w;
+    u64 *P = malloc(2 * w * sizeof(u64)), *M = P + w;
+    *out = NULL;
+    if (!eq || !P)
+        goto fail;
+    for (int64_t i = 0; i < m; i++) { /* needle and reversed needle */
+        eq[p[i] * w + (i >> 6)] |= (u64)1 << (i & 63);
+        req[p[m - 1 - i] * w + (i >> 6)] |= (u64)1 << (i & 63);
+    }
+    if (k > m)
+        k = m; /* D[m][j] <= m always */
+    for (int64_t r = 0; r < n; r++) {
+        const uint8_t *t = d + o[r];
+        int64_t score = m;
+        memset(P, 0xff, w * sizeof(u64));
+        memset(M, 0, w * sizeof(u64));
+        for (int64_t j = 0; j < o[r + 1] - o[r]; j++) {
+            score += column(P, M, eq + t[j] * w, w, 0, last);
+            if (score > k)
+                continue;
+            if (cnt == cap) {
+                int64_t *g = realloc(h, (cap = cap ? 2 * cap : 1024) * 4 *
+                                            sizeof(int64_t));
+                if (!g)
+                    goto fail;
+                h = g;
+            }
+            h[4 * cnt] = r, h[4 * cnt + 1] = j + 1, h[4 * cnt + 2] = score;
+            cnt++;
+        }
+    }
+    for (int64_t i = 0; i < cnt; i++) {
+        int64_t *x = h + 4 * i, end = x[1], cost = x[2];
+        const uint8_t *t = d + o[x[0]];
+        int64_t q = end < m + cost ? end : m + cost, score = m, best = 0;
+        memset(P, 0xff, w * sizeof(u64));
+        memset(M, 0, w * sizeof(u64));
+        /* best stays 0 only when no q >= 1 matches, i.e. cost == m */
+        for (int64_t j = 1; j <= q; j++) {
+            score += column(P, M, req + t[end - j] * w, w, 1, last);
+            if (score == cost)
+                best = j;
+            else if (score - (q - j) > cost)
+                break; /* the cell moves by 1 a byte: cost is out of reach */
+        }
+        x[3] = end - best;
+    }
+    free(eq), free(P);
+    *out = h;
+    return cnt;
+fail:
+    free(eq), free(P), free(h);
+    return -1;
+}
+
+void lev_free(void *p)
+{
+    free(p);
 }

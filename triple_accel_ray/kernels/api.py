@@ -8,8 +8,9 @@ SIMD paths diverge from its naive paths on a handful of known edge cases
 resolves them in favor of the naive semantics — so ``*_simd_*`` outputs are
 NOT bit-identical to the reference's SIMD functions on exactly those inputs.
 The ``*_simd_*`` names are kept for API parity and dispatch to our fast paths
-(Myers bit-parallel for unit costs without traceback, banded DP otherwise),
-mirroring the reference's runtime ladder (levenshtein.rs:766-827).
+(the compiled Myers engine in ``_myers.c`` for unit costs without traceback,
+banded DP otherwise), mirroring the reference's runtime ladder
+(levenshtein.rs:766-827).
 
 Search routines return eager lists of :class:`Match` (the reference returns
 lazy iterators; the values and order are identical).
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from . import scalar
-from .myers import myers_distance
+import numpy as np
+
+from . import native, scalar
+from .search_fast import select_matches
 from .types import (
     LEVENSHTEIN_COSTS,
     RDAMERAU_COSTS,
@@ -145,23 +148,37 @@ def levenshtein_naive_k_with_opts(
     return scalar.levenshtein_k_with_opts(a, b, k, trace_on, costs)
 
 
+def _byte_pair(a, b):
+    """``a`` and ``b`` as byte strings in which two symbols are equal iff
+    they were equal before, for the compiled kernels; None when together
+    they hold more than 256 distinct symbols."""
+    if isinstance(a, (bytes, bytearray, memoryview)) and \
+            isinstance(b, (bytes, bytearray, memoryview)):
+        return bytes(a), bytes(b)
+    if isinstance(a, str) and isinstance(b, str) and a.isascii() \
+            and b.isascii():
+        return a.encode(), b.encode()
+    chars: List = []
+    ta = translate_str(chars, a)
+    tb = None if ta is None else translate_str(chars, b)
+    return None if tb is None else (bytes(ta), bytes(tb))
+
+
 def levenshtein_simd_k_with_opts(
     a, b, k: int, trace_on: bool = False, costs: EditCosts = LEVENSHTEIN_COSTS
 ) -> Optional[Tuple[int, Optional[List[Edit]]]]:
     """Fast-path dispatch with outputs identical to the banded DP
     (mirrors levenshtein.rs:714-827's dispatch-with-identical-results)."""
-    if not trace_on and costs.is_unit():
-        # Myers bit-parallel path; apply the same achievable-cost cap the
-        # banded DP applies so the None/Some boundary is identical.
-        a_s = as_seq(a)
-        b_s = as_seq(b)
-        if len(a_s) > len(b_s):
-            a_s, b_s = b_s, a_s
+    pair = None if trace_on or not costs.is_unit() else _byte_pair(a, b)
+    if pair is not None:
+        # the compiled Myers engine, under the same achievable-cost cap the
+        # banded DP applies so the None/Some boundary is identical
+        a_s, b_s = sorted(pair, key=len)
         max_k, unit_k = scalar._max_k_and_band(len(a_s), len(b_s), k, costs)
         if len(b_s) - len(a_s) > unit_k:
             return None
-        d = myers_distance(a_s, b_s, max_k)
-        return None if d is None else (d, None)
+        d = native.levenshtein_k_pair(a_s, b_s, max_k)
+        return None if d < 0 else (d, None)
     return scalar.levenshtein_k_with_opts(a, b, k, trace_on, costs)
 
 
@@ -268,9 +285,10 @@ def levenshtein_search_naive(needle, haystack) -> List[Match]:
 
 
 # The SIMD search in the reference produces identical Match streams to the
-# naive search (levenshtein.rs:1866-2484); our fast path (Myers bit-parallel
-# scan + windowed tie-break recovery) dispatches for unit costs, mirroring
-# that identical-output guarantee.
+# naive search (levenshtein.rs:1866-2484). For unit costs, unanchored, the
+# compiled Myers engine scans the haystack as a one-row column (end, cost
+# and longest-match start of every hit) and ``select_matches`` applies the
+# scalar search's ALL/BEST selection, so the output is the naive search's.
 def levenshtein_search_simd_with_opts(
     needle,
     haystack,
@@ -279,10 +297,14 @@ def levenshtein_search_simd_with_opts(
     costs: EditCosts = LEVENSHTEIN_COSTS,
     anchored: bool = False,
 ) -> List[Match]:
-    if costs.is_unit() and not anchored and len(needle) > 0:
-        from .search_fast import levenshtein_search_myers
-
-        return levenshtein_search_myers(needle, haystack, k, search_type)
+    pair = None if anchored or not costs.is_unit() or len(needle) == 0 \
+        else _byte_pair(needle, haystack)
+    if pair is not None:
+        nb, hb = pair
+        _, ends, costs_h, starts = native.myers_search_column(
+            nb, np.frombuffer(hb, np.uint8), np.array([0, len(hb)]), k)
+        return select_matches(ends.tolist(), costs_h.tolist(),
+                              starts.tolist(), len(nb), k, search_type)
     return scalar.levenshtein_search_with_opts(
         needle, haystack, k, search_type, costs, anchored
     )

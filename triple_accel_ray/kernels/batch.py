@@ -148,32 +148,11 @@ def bag_distance_batch(col_a, col_b) -> np.ndarray:
     """Per-row bag distance: max(#chars only in a, #chars only in b) over
     byte multisets — a lower bound on unit-cost edit distance (each
     substitute/insert/delete changes the multiset by at most one element;
-    transpositions don't change it at all). One bincount pass over the flat
-    bytes. The compiled unit-cost kernel applies the same bound per pair
-    before its Myers pass.
+    transpositions don't change it at all). Computed by the compiled
+    kernel, which applies the same bound per pair before its Myers pass.
     """
-    da, oa = to_byte_rows(col_a)
-    db, ob = to_byte_rows(col_b)
-    n = len(oa) - 1
-    out = np.empty(n, dtype=np.int64)
-    # chunk so the (chunk, 256) histograms stay small
-    step = 4096
-    for s in range(0, n, step):
-        e = min(n, s + step)
-        m = e - s
-        ids_a = np.repeat(np.arange(m), np.diff(oa[s : e + 1]))
-        ids_b = np.repeat(np.arange(m), np.diff(ob[s : e + 1]))
-        ha = np.bincount(
-            ids_a * 256 + da[oa[s] : oa[e]].astype(np.int64), minlength=m * 256
-        ).reshape(m, 256)
-        hb = np.bincount(
-            ids_b * 256 + db[ob[s] : ob[e]].astype(np.int64), minlength=m * 256
-        ).reshape(m, 256)
-        diff = ha - hb
-        pos = np.where(diff > 0, diff, 0).sum(axis=1)
-        neg = np.where(diff < 0, -diff, 0).sum(axis=1)
-        out[s:e] = np.maximum(pos, neg)
-    return out
+    return native.bag_distance_unit(*to_byte_rows(col_a),
+                                    *to_byte_rows(col_b))
 
 
 def _max_k_unit_k(
@@ -222,10 +201,7 @@ def levenshtein_k_batch(
         return out
 
     k_arr = np.asarray(k, dtype=np.int64)
-    if (
-        costs.mismatch_cost == 1 and costs.gap_cost == 1
-        and costs.start_gap_cost == 0 and not costs.allow_transpose
-    ):
+    if costs.is_unit():
         native.levenshtein_k_unit(da, oa, db, ob, k_arr, out)
         return out
 

@@ -1,5 +1,7 @@
-"""The compiled unit-cost kernel: ``_myers.c`` built with gcc on first use
-and called through ctypes, which releases the GIL for the call.
+"""The compiled unit-cost kernels: ``_myers.c`` built with gcc on first use
+and called through ctypes, which releases the GIL for the call. It holds
+the one Myers engine behind batch and single-pair distance, the bag bound
+and column search.
 
 The library is cached as ``CACHE_DIR/<sha256 of source, flags and gcc
 version>.so``. A build holds an ``fcntl`` lock on ``<key>.so.lock``,
@@ -22,7 +24,10 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["levenshtein_k_unit", "kernel_hash"]
+__all__ = [
+    "levenshtein_k_unit", "levenshtein_k_pair", "bag_distance_unit",
+    "myers_search_column", "kernel_hash",
+]
 
 GCC = "/usr/bin/gcc"
 # no -march=native: the cache may be shared by hosts with different CPUs
@@ -88,8 +93,18 @@ def _lib():
     if _LIB is None:
         key = _build_key()
         lib = ctypes.CDLL(_library_path(key))
-        lib.lev_k_unit.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        lib.lev_k_unit.argtypes = [i64] + [ptr] * 6
         lib.lev_k_unit.restype = ctypes.c_int
+        lib.lev_k_pair.argtypes = [ctypes.c_char_p, i64] * 2 + [i64]
+        lib.lev_k_pair.restype = i64
+        lib.bag_unit.argtypes = [i64] + [ptr] * 5
+        lib.bag_unit.restype = None
+        lib.lev_search_unit.argtypes = [ctypes.c_char_p, i64, i64, ptr, ptr,
+                                        i64, ctypes.POINTER(ptr)]
+        lib.lev_search_unit.restype = i64
+        lib.lev_free.argtypes = [ptr]
+        lib.lev_free.restype = None
         _LIB, _KEY = lib, key
     return _LIB
 
@@ -101,23 +116,89 @@ def kernel_hash() -> str:
     return _KEY
 
 
+def _byte_rows(d, o):
+    """Flat bytes and int64 offsets as contiguous arrays, checked to index
+    the bytes."""
+    d = np.ascontiguousarray(d, np.uint8)
+    o = np.ascontiguousarray(o, np.int64)
+    if len(o) > 1 and (o[0] < 0 or o[-1] > d.size or (np.diff(o) < 0).any()):
+        raise ValueError("offsets do not index the byte buffer")
+    return d, o
+
+
+def _pair_rows(da, oa, db, ob):
+    da, oa = _byte_rows(da, oa)
+    db, ob = _byte_rows(db, ob)
+    if len(ob) != len(oa):
+        raise ValueError("row counts do not match")
+    return da, oa, db, ob, len(oa) - 1
+
+
 def levenshtein_k_unit(da, oa, db, ob, max_k, out) -> None:
     """Fill ``out`` (int64, one per row) with the unit-cost edit distance
     of rows ``(da, oa)[i]`` and ``(db, ob)[i]``, or -1 where it exceeds
     ``max_k[i]``. ``da``/``db`` are flat bytes and ``oa``/``ob`` int64
     offsets, as :func:`batch.to_byte_rows` returns them."""
-    da = np.ascontiguousarray(da, np.uint8)
-    db = np.ascontiguousarray(db, np.uint8)
-    oa = np.ascontiguousarray(oa, np.int64)
-    ob = np.ascontiguousarray(ob, np.int64)
-    n = len(oa) - 1
+    da, oa, db, ob, n = _pair_rows(da, oa, db, ob)
     max_k = np.ascontiguousarray(np.broadcast_to(max_k, (n,)), np.int64)
-    if len(ob) != n + 1 or out.shape != (n,) or out.dtype != np.int64 \
+    if out.shape != (n,) or out.dtype != np.int64 \
             or not out.flags.c_contiguous:
         raise ValueError("row counts or output buffer do not match")
-    for d, o in ((da, oa), (db, ob)):
-        if n and (o[0] < 0 or o[-1] > d.size or (np.diff(o) < 0).any()):
-            raise ValueError("offsets do not index the byte buffer")
     if _lib().lev_k_unit(n, da.ctypes.data, oa.ctypes.data, db.ctypes.data,
                          ob.ctypes.data, max_k.ctypes.data, out.ctypes.data):
         raise MemoryError("lev_k_unit could not allocate its scratch")
+
+
+def levenshtein_k_pair(a: bytes, b: bytes, max_k: int) -> int:
+    """Unit-cost edit distance of two byte strings, or -1 where it exceeds
+    ``max_k`` (0 <= max_k < 2**63). One call with no array set-up, for the
+    single-pair API."""
+    d = _lib().lev_k_pair(a, len(a), b, len(b), max_k)
+    if d == -2:
+        raise MemoryError("lev_k_pair could not allocate its scratch")
+    return d
+
+
+def bag_distance_unit(da, oa, db, ob) -> np.ndarray:
+    """Bag distance of each row pair (the multiset bound the distance
+    kernel screens with), over the same flat rows as
+    :func:`levenshtein_k_unit`."""
+    da, oa, db, ob, n = _pair_rows(da, oa, db, ob)
+    out = np.empty(n, np.int64)
+    _lib().bag_unit(n, da.ctypes.data, oa.ctypes.data, db.ctypes.data,
+                    ob.ctypes.data, out.ctypes.data)
+    return out
+
+
+def myers_search_column(needle: bytes, data, offsets, k: int):
+    """Unit-cost semi-global search of one needle (m >= 1 bytes) over every
+    row of the flat column ``(data, offsets)``: returns int64 (row, end,
+    cost, start) arrays for every position where the Sellers DP's last row
+    D[m][end] <= k, ordered by (row, end), which is the scalar DP's hit
+    stream.
+
+    The start of each hit is the scalar DP's: the LONGEST match, i.e. the
+    smallest start s with lev(needle, row[s:end]) == cost. The kernel finds
+    it with a global scan of the reversed needle over the reversed row from
+    ``end``, which reads lev(needle, row[end-q:end]) after q bytes, and
+    keeps the largest q with that cost; it is >= q - m, so the scan stops
+    by q = m + cost."""
+    needle = bytes(needle)
+    if not needle:
+        raise ValueError("the needle must hold at least one byte")
+    data, offsets = _byte_rows(data, offsets)
+    buf = ctypes.c_void_p()
+    lib = _lib()
+    m = len(needle)
+    cnt = lib.lev_search_unit(needle, m, len(offsets) - 1, data.ctypes.data,
+                              offsets.ctypes.data, max(-1, min(k, m)),
+                              ctypes.byref(buf))
+    if cnt < 0:
+        raise MemoryError("lev_search_unit could not allocate its hits")
+    try:
+        hits = np.ctypeslib.as_array(
+            ctypes.cast(buf, ctypes.POINTER(ctypes.c_int64)), (cnt, 4)
+        ).copy() if cnt else np.empty((0, 4), np.int64)
+    finally:
+        lib.lev_free(buf)
+    return tuple(np.ascontiguousarray(hits.T))

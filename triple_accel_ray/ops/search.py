@@ -3,12 +3,12 @@ operators (hamming_search / levenshtein_search, hamming.rs:96-146 and
 levenshtein.rs:1589-1838) lifted to batch column form — one needle, a
 column of haystacks, exploded Match rows out.
 
-Hot paths are column-vectorized (kernels/search_batch.py): the Myers
-semi-global scan and its start recovery run with one ``(W, rows)`` uint64
-register file across the whole batch at every needle length, and hamming
-windows are counted in ``len(needle)`` flat passes. Per-row Python
-survives only where semantics demand it — non-unit costs, anchored search
-— and in the per-row ALL/BEST match selection over the (sparse) hits.
+Hot paths take the whole column at once (kernels/search_batch.py): for
+unit costs the compiled Myers engine scans every row and recovers each
+hit's start in one call at any needle length, and hamming windows are
+counted in ``len(needle)`` flat passes. Per-row Python survives only where
+semantics demand it — non-unit costs, anchored search — and in the per-row
+ALL/BEST match selection over the (sparse) hits.
 """
 
 from __future__ import annotations
@@ -100,18 +100,12 @@ def levenshtein_search_column(batch: pa.Table, needle: bytes, k: int,
     if isinstance(ids, pa.ChunkedArray):
         ids = ids.combine_chunks()
     m = len(needle)
-    unit = (
-        costs.mismatch_cost == 1 and costs.gap_cost == 1
-        and costs.start_gap_cost == 0 and not costs.allow_transpose
-    )
     out_row: list = []
     out_s: list = []
     out_e: list = []
     out_k: list = []
 
-    # the word-serial register file costs O(m/64) per char with no
-    # structural limit; the bound only excludes degenerate giant needles
-    if unit and not anchored and 1 <= m <= 65536:
+    if costs.is_unit() and not anchored and m >= 1:
         data, offsets = to_byte_rows(batch[text_col])
         # rows whose haystack is shorter than the needle can still match
         # (m - n <= k) — the scan covers them identically to Sellers
@@ -124,9 +118,9 @@ def levenshtein_search_column(batch: pa.Table, needle: bytes, k: int,
         todo = range(n) if m <= k else np.unique(rows_h).tolist()
         for r in todo:
             lo, hi = bounds[r], bounds[r + 1]
-            hits = zip(ends_h[lo:hi].tolist(), costs_h[lo:hi].tolist())
-            for mm in select_matches(hits, m, k, search_type,
-                                     starts_h[lo:hi].tolist().__getitem__):
+            for mm in select_matches(
+                    ends_h[lo:hi].tolist(), costs_h[lo:hi].tolist(),
+                    starts_h[lo:hi].tolist(), m, k, search_type):
                 out_row.append(r)
                 out_s.append(mm.start)
                 out_e.append(mm.end)
@@ -134,7 +128,6 @@ def levenshtein_search_column(batch: pa.Table, needle: bytes, k: int,
     else:
         texts = batch[text_col].to_pylist()
         for i, t in enumerate(texts):
-            # dispatches to the Myers bit-parallel fast path for unit costs
             for mm in levenshtein_search_simd_with_opts(
                 needle, t.encode(), k, search_type, costs, anchored
             ):

@@ -144,7 +144,11 @@ class _Run:
 
     def ds(self, stage: str):
         out = self.out[stage]
-        return rd.read_parquet(out) if isinstance(out, str) else out
+        if not isinstance(out, str):
+            return out
+        # a zero-row checkpoint may hold no file, and Ray Data's read of it
+        # averages an empty size sample ("Mean of empty slice")
+        return rd.read_parquet(out) if self.rows[stage] else rd.from_items([])
 
     def table(self, stage: str, columns: list) -> pa.Table:
         """``columns`` (string ids) of a stage as one driver-side table."""
