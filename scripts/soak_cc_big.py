@@ -19,7 +19,10 @@ cannot collapse a chain locally):
 Node ids are zero-padded ("n000000042") so the engine's lexicographic
 min-label equals the oracle's integer min.
 
-Usage: python scripts/soak_cc_big.py [out.json]
+The engine runs at its default cap of 32 buckets; the JSON records the
+bucket count it derived (``buckets``) from the node count and the CPUs.
+
+Usage: RAY_GRAFT_CPUS=<n> python scripts/soak_cc_big.py [out.json]
 Prints one JSON line; exits nonzero unless hash-equal AND converged.
 """
 
@@ -167,6 +170,7 @@ def main() -> int:
         "above_local_cap": int(len(a)) > 2_000_000,
         "deep_chain_diameter": CHAIN_LEN,
         "num_cpus": ncpus,
+        "buckets": stats.get("buckets"),
         "gen_sec": round(gen_sec, 2),
         "cc_sec": round(cc_sec, 2),
         "unionfind_sec": round(uf_sec, 2),

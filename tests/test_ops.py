@@ -1996,6 +1996,35 @@ def test_graph_engine_empty_edges_and_one_bucket(ray_session, op):
     assert got == want
 
 
+@pytest.mark.parametrize("op", ["pagerank_stationary", "kcore_stationary",
+                                "triangle_counts_fast"])
+def test_graph_op_same_table_at_default_cap_and_two_buckets(ray_session, op):
+    """``num_buckets`` only caps the bucket count: at the default cap
+    (which derives one bucket per CPU here) and at a cap of 2 each op
+    returns the identical table."""
+    import random
+
+    import ray.data as rd
+
+    from triple_accel_ray.ops import graph
+
+    rng = random.Random(43)
+    ids = [f"v{i:03d}" for i in range(120)]
+    edges = sorted({tuple(sorted(rng.sample(ids, 2))) for _ in range(400)})
+    ds = rd.from_arrow(pa.table({"a_id": [a for a, _ in edges],
+                                 "b_id": [b for _, b in edges]})
+                       ).repartition(6)
+    fn = getattr(graph, op)
+
+    def table(**kw):
+        return (fn(ds, **kw).to_pandas().sort_values("conv_id")
+                .reset_index(drop=True))
+
+    default = table()
+    assert len(default) > 0
+    assert default.equals(table(num_buckets=2))
+
+
 def test_event_transitions_vs_bruteforce(ray_session):
     """Transition counts equal a python replay over per-user (ts,
     event_id)-ordered streams, with ts ties and single-event users."""

@@ -373,6 +373,90 @@ def test_connected_components_three_way_differential(ray_session):
     assert got_d.equals(want2)
 
 
+def _welded_chains(n, max_chain, n_bridges, seed):
+    """Random chains of 2..max_chain nodes welded by random bridges, with
+    shuffled ids and edge order: the deep graph of
+    test_connected_components_three_way_differential."""
+    import random
+
+    rng = random.Random(seed)
+    nodes = [f"c{i:05d}" for i in range(n)]
+    ids = nodes[:]
+    rng.shuffle(ids)
+    edges = []
+    i = 0
+    while i < n - 1:
+        ln = rng.randrange(2, max_chain + 1)
+        for j in range(i, min(i + ln - 1, n - 2)):
+            edges.append((ids[j], ids[j + 1]))
+        i += ln
+    for _ in range(n_bridges):
+        edges.append(tuple(rng.sample(nodes, 2)))
+    rng.shuffle(edges)
+    return (pa.table({"a_id": [a for a, _ in edges],
+                      "b_id": [b for _, b in edges]}),
+            pa.table({"conv_id": nodes}))
+
+
+def test_connected_components_bucket_count_is_a_cap(ray_session):
+    """``num_partitions`` caps the bucket count; the count itself follows
+    the node count and the CPUs. On the deep welded-chain graph the
+    default cap (32) and a cap of 2 both give the driver union-find's
+    labels; the derived count is at most the session's CPUs, and equals
+    the cap when the cap is smaller."""
+    import ray
+    import ray.data as rd
+
+    from triple_accel_ray.pipeline.cluster import connected_components
+
+    et, nt = _welded_chains(400, 12, 60, seed=23)
+    want = (connected_components_local(et, nt).to_pandas()
+            .sort_values("conv_id").reset_index(drop=True))
+    ncpus = int(ray.cluster_resources()["CPU"])
+
+    def run(**kw):
+        stats: dict = {}
+        got = (connected_components(rd.from_arrow(et).repartition(7),
+                                    rd.from_arrow(nt).repartition(5),
+                                    stats=stats, **kw)
+               .to_pandas().sort_values("conv_id").reset_index(drop=True))
+        return got, stats["buckets"]
+
+    got_default, b_default = run()
+    got_two, b_two = run(num_partitions=2)
+    assert got_default.equals(want)
+    assert got_two.equals(want)
+    assert b_default <= ncpus
+    assert b_default == min(32, ncpus)  # 400 nodes: one bucket per CPU
+    assert b_two == 2 < ncpus
+
+
+def test_summary_cluster_entry(ray_session, tmp_path):
+    """Both run modes put one ``cluster`` entry in the summary: the
+    distributed connected components' buckets, rounds and message rows,
+    or None when the driver union-find shortcut ran."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from triple_accel_ray.pipeline import PipelineConfig, run_er_pipeline
+    from triple_accel_ray.pipeline.run import run_er_pipeline_fused
+
+    transcripts, _ = generate_transcripts(60, seed=42)
+    tp = str(tmp_path / "transcripts.parquet")
+    pq.write_table(transcripts, tp)
+    small = dict(doc_buckets=4, pair_buckets=4)
+    s_dist = run_er_pipeline_fused(tp, str(tmp_path / "fused"), PipelineConfig(
+        local_cluster_edge_cap=0, **small))
+    s_local = run_er_pipeline(tp, str(tmp_path / "ck"), PipelineConfig(**small))
+    assert s_dist.keys() == s_local.keys()
+    assert s_local["cluster"] is None
+    c = s_dist["cluster"]
+    assert sorted(c) == ["buckets", "msg_rows", "rounds"]
+    assert c["buckets"] == min(32, int(ray.cluster_resources()["CPU"]))
+    assert c["rounds"] >= 1 and c["msg_rows"] > 0
+    assert s_dist["rows"]["edges"] > 0
+
+
 def test_connected_components_edge_cases(ray_session):
     """Stationary CC corner shapes: no edges (all singletons), one giant
     star, duplicate + self-loop edges."""

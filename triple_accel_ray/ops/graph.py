@@ -24,6 +24,14 @@ neighbourhood is resident in one bucket; rounds then move only
 node-width (or telescoping) messages, never the edge table. All merges
 are integer sums, counts or filters, so any partitioning gives
 identical output, and the chained-CTE SQL twins are value-exact.
+
+Bucket count: ``num_buckets`` is a cap. Each operator materializes its
+edge input once and picks B from the edge count (block metadata) and
+the cluster's CPUs with ``shuffle.graph_input`` — one bucket per CPU
+until the buckets grow past ``GRAPH_ROWS_PER_BUCKET`` edges — then keeps
+that B for every exchange, since its buckets stay in place. Every
+exchange schedules ~B² objects, so a B above what the graph needs costs
+more than the graph.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ import polars as pl
 import pyarrow as pa
 
 from ..pipeline.pairs import _triu_cache
-from ..pipeline.shuffle import counter_totals, gather, raw_exchange
+from ..pipeline.shuffle import (counter_totals, gather, graph_input,
+                                raw_exchange)
 
 _SEED = 61        # owner bucket of a node: hash(node, _SEED) % B
 _PAIR_SEED = 58   # owner bucket of a canonical (lo, hi) edge
@@ -193,15 +202,18 @@ def triangle_counts_fast(edges, num_buckets: int = 32):
     4. wedges + canonical edges → hash(lo, hi) owner; pair join;
     5. (node, n) partials → node owner; grouped sum (a Dataset groupby
        here re-pays the all-to-all scheduling — measured: it tripled
-       the op's wall time)."""
+       the op's wall time).
+
+    All five use one bucket count B, derived from the edge count and the
+    cluster's CPUs with ``num_buckets`` as its cap (module docstring)."""
     import ray.data as rd
 
-    edge_refs = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
+    edge_refs, B = graph_input(edges.select_columns(["a_id", "b_id"]),
+                               num_buckets)
     if not edge_refs:
         return rd.from_arrow(pa.schema([
             ("conv_id", pa.string()), ("n_triangles", pa.int64())
         ]).empty_table())
-    B = num_buckets
     deg, _ = raw_exchange(edge_refs, _directed_map, _attach_degree, B)
     kept, _ = raw_exchange(deg, partial(_route_by, "dst"), _tri_orient, B,
                            extra=deg)
@@ -279,14 +291,16 @@ def pagerank_stationary(edges, n_iter: int = 3, scale: int = 10**12,
     hash(src)-partitioned ONCE into per-bucket Arrow tables that stay in
     the object store; each iteration is one exchange that moves only
     NODE-WIDTH data (per-bucket dst-grouped rank shares, at most
-    |distinct dst in bucket| rows per bucket), never the edges."""
+    |distinct dst in bucket| rows per bucket), never the edges. The
+    bucket count is derived once from the edge count and the cluster's
+    CPUs, with ``num_buckets`` as its cap (module docstring)."""
     import ray.data as rd
 
-    blocks = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
+    blocks, B = graph_input(edges.select_columns(["a_id", "b_id"]),
+                            num_buckets)
     n_nodes = 0
     if blocks:
-        graph, counts = raw_exchange(blocks, _directed_map, _attach_degree,
-                                     num_buckets)
+        graph, counts = raw_exchange(blocks, _directed_map, _attach_degree, B)
         n_nodes = counter_totals(counts)["nodes"]
     if n_nodes == 0:
         return rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
@@ -303,7 +317,7 @@ def pagerank_stationary(edges, n_iter: int = 3, scale: int = 10**12,
         for _ in range(int(n_iter)):
             pr_slices, _ = raw_exchange(
                 list(zip(graph, pr_slices)), _pr_share,
-                partial(_pr_update, base=base), num_buckets)
+                partial(_pr_update, base=base), B)
         prs = rd.from_arrow_refs(pr_slices)
     return prs.map_batches(
         lambda t: pa.table({"conv_id": t["node"],
@@ -382,20 +396,22 @@ def kcore_stationary(edges, k: int = 2, rounds: int = 3,
     edges incident to nodes that died this round — a volume that
     telescopes to at most 2|E| over ALL rounds combined — plus one row
     per dead node. Every step is a count/filter, so outputs are
-    order-independent and bit-exact under any partitioning."""
+    order-independent and bit-exact under any partitioning. The bucket
+    count is derived once from the edge count and the cluster's CPUs,
+    with ``num_buckets`` as its cap (module docstring)."""
     import ray.data as rd
 
-    blocks = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
+    blocks, B = graph_input(edges.select_columns(["a_id", "b_id"]),
+                            num_buckets)
     if not blocks:
         return rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
                                        "core_deg": pa.array([], pa.int64())}))
     rounds = int(rounds)
     states, _ = raw_exchange(blocks, _directed_map,
-                             partial(_kcore_build, final=rounds < 1),
-                             num_buckets)
+                             partial(_kcore_build, final=rounds < 1), B)
     for r in range(rounds):
         states, _ = raw_exchange(
             states, partial(_kcore_peel, k=int(k)),
-            partial(_kcore_apply, final=r == rounds - 1), num_buckets,
+            partial(_kcore_apply, final=r == rounds - 1), B,
             extra=states)
     return rd.from_arrow_refs(states)

@@ -2,7 +2,9 @@
 
 Distributed path (:func:`connected_components`): per-block
 pre-contraction to star edges, then min-label propagation over
-hash-partitioned RESIDENT buckets. Each round is two
+hash-partitioned RESIDENT buckets. The bucket count B is derived once
+from the node count and the cluster's CPUs, with ``num_partitions`` as
+its cap (``shuffle.graph_input``). Each round is two
 ``shuffle.raw_exchange`` calls over the same buckets: a propagate
 exchange (each bucket joins its own edges against its own label slice
 and ships only (destination, min label) id-width messages), then a
@@ -28,7 +30,7 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
-from .shuffle import counter_totals, gather, raw_exchange, route
+from .shuffle import counter_totals, gather, graph_input, raw_exchange, route
 
 _SEED = 71  # owner bucket of a node: hash(node, _SEED) % B
 
@@ -234,7 +236,10 @@ def connected_components(
     NOT reached in ``max_iters`` the labels would be stale (a component
     can keep >1 label), so this raises RuntimeError instead: the result
     is exact or there is none."""
-    # stats (optional dict, filled in place): per-iteration telemetry —
+    # num_partitions caps the bucket count B, which shuffle.graph_input
+    # derives from the node count and the cluster's CPUs.
+    # stats (optional dict, filled in place): "buckets" (that B) and
+    # per-iteration telemetry —
     # "propagate_msg_rows" / "jump_msg_rows" (total message rows shipped
     # between buckets that round) and "changed" (labels that decreased);
     # the three lists always have equal length (the converging round
@@ -245,8 +250,7 @@ def connected_components(
     # shrink toward the fixpoint.
     import ray.data as rd
 
-    B = num_partitions
-    node_refs = nodes.to_arrow_refs()
+    node_refs, B = graph_input(nodes, num_partitions)
     if not node_refs:
         return rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
                                        "cluster_id": pa.array([], pa.string())}))
@@ -254,6 +258,7 @@ def connected_components(
     lb, _ = raw_exchange(node_refs, _nodes_map, _init_labels, B)
 
     if stats is not None:
+        stats["buckets"] = B
         stats.setdefault("propagate_msg_rows", [])
         stats.setdefault("jump_msg_rows", [])
         stats.setdefault("changed", [])

@@ -68,6 +68,9 @@ class PipelineConfig:
     min_similarity: float = 0.85
 
     # --- clustering -------------------------------------------------------
+    # a CAP on the distributed connected components' bucket count: the
+    # op derives the count from the node count and the cluster's CPUs
+    # (shuffle.graph_input) and never exceeds this
     cluster_partitions: int = 32
     cluster_max_iters: int = 25
     # below this many edges the driver-side union-find shortcut is valid

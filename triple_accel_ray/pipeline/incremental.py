@@ -63,12 +63,13 @@ def run_er_incremental(
 
     # 1. docs + blocks for the appended conversations only (appends are
     # usually small — size the shuffle to the increment, not the cap)
-    from .run import _TURNS_PER_DOC_BUCKET, _effective_buckets
+    from .run import _TURNS_PER_DOC_BUCKET
+    from .shuffle import effective_buckets
     from .transcripts import count_rows
 
     new_docs = build_docs(
         rd.read_parquet(new_transcripts_path),
-        _effective_buckets(
+        effective_buckets(
             cfg.doc_buckets, count_rows(new_transcripts_path),
             _TURNS_PER_DOC_BUCKET,
         ),

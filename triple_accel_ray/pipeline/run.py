@@ -26,7 +26,10 @@ materialization policies run that list:
 The clusters stage is written to ``{run_dir}/clusters`` in both. Both
 return one summary (the checkpoint policy also writes it to
 ``summary.json``): ``mode``, ``clusters_dir``, ``rows`` and ``wall``
-(seconds) per stage, and ``metrics`` (pairwise F1) when labels are given.
+(seconds) per stage, ``cluster`` (the distributed connected components'
+``buckets``, ``rounds`` and ``msg_rows``, or null when the driver
+union-find shortcut ran or the clusters stage was resumed), and
+``metrics`` (pairwise F1) when labels are given.
 Rows are listed where they are known without a pass over the data; a
 streamed stage has no wall of its own, its time falls in the stage that
 materializes it. Callers own the Ray session — nothing here calls
@@ -57,6 +60,7 @@ from .docs import build_docs
 from .metrics import pairwise_f1
 from .pairs import attach_pair_texts, gen_pairs
 from .score import BroadcastTextScorer, PairScorer, build_text_index_remote
+from .shuffle import cluster_cpus, effective_buckets
 from .transcripts import count_rows, uncompressed_bytes
 
 
@@ -75,33 +79,7 @@ def _read_blocks() -> int:
     per-block sort-map scheduling and object churn dominate), and the cost
     is size-independent so it was the pipeline's largest FIXED serial term.
     On a real cluster this is still ~1 block per core fleet-wide."""
-    import ray
-
-    try:
-        return max(8, int(ray.cluster_resources().get("CPU", 0))) or 32
-    except Exception:  # pragma: no cover - no session (tests init lazily)
-        return 32
-
-
-def _effective_buckets(cap: int, n_rows: int, target_rows: int,
-                       ncpus: int | None = None) -> int:
-    """Bucket count for a shuffle feeding ~``n_rows`` rows. Because the
-    bucketed shuffles run as sort-with-boundaries (shuffle.bucket_partition),
-    the bucket count is ALSO the reduce-partition count and the task
-    granularity of whatever stage fuses after the shuffle, so it must scale
-    with the data: at least one bucket per cluster CPU (no idle cores), at
-    most ``cap``, otherwise ~``target_rows`` rows per bucket. Measured both
-    failure modes at sf0.4/16cpu vs sf0.1/32cpu: a fixed 32 makes the sf0.4
-    scorer 15 tasks of 9-26 s (wall = longest task); a fixed 128 adds ~1.3 s
-    of per-reducer overhead to the sf0.1 pairs stage (300-row buckets)."""
-    if ncpus is None:
-        import ray
-
-        try:
-            ncpus = int(ray.cluster_resources().get("CPU", 0)) or 32
-        except Exception:  # pragma: no cover - no session
-            ncpus = 32
-    return int(min(cap, max(ncpus, n_rows // target_rows)))
+    return max(8, cluster_cpus())
 
 
 # ~rows per bucket targets: sized so the sf0.1 headline keeps its measured
@@ -119,13 +97,10 @@ def _score_batch_size(cfg: PipelineConfig, n_pairs_est: int) -> int:
     kernels were numpy, whose per-call dispatch made small batches dear
     (single-core on the sf0.1 pair mix: 62.7 core-s at bs=512 vs 51.0 at
     bs=8192); whether it still pays with the compiled kernel is open."""
-    import ray
-
-    ncpus = int(ray.cluster_resources().get("CPU", 0)) or 32
     return int(
         min(
             cfg.score_batch_max,
-            max(cfg.score_batch_size, n_pairs_est // (4 * ncpus)),
+            max(cfg.score_batch_size, n_pairs_est // (4 * cluster_cpus())),
         )
     )
 
@@ -141,6 +116,7 @@ class _Run:
         self.cfg = cfg
         self.out: dict = {}
         self.rows: dict = {}
+        self.cluster: Optional[dict] = None  # distributed CC's stats
 
     def ds(self, stage: str):
         out = self.out[stage]
@@ -171,8 +147,8 @@ def _docs(r: _Run):
     return build_docs(
         rd.read_parquet(r.path, override_num_blocks=_read_blocks()),
         # parquet footers only — no data read
-        _effective_buckets(r.cfg.doc_buckets, count_rows(r.path),
-                           _TURNS_PER_DOC_BUCKET),
+        effective_buckets(r.cfg.doc_buckets, count_rows(r.path),
+                          _TURNS_PER_DOC_BUCKET),
     )
 
 
@@ -189,8 +165,8 @@ def _pairs(r: _Run):
     c = r.cfg
     return gen_pairs(
         r.ds("blocks"),
-        num_buckets=_effective_buckets(c.pair_buckets, r.rows["docs"],
-                                       _DOCS_PER_PAIR_BUCKET),
+        num_buckets=effective_buckets(c.pair_buckets, r.rows["docs"],
+                                      _DOCS_PER_PAIR_BUCKET),
         hot_block_cap=c.hot_block_cap,
         hot_block_window=c.hot_block_window,
     )
@@ -235,10 +211,23 @@ def _clusters(r: _Run):
         # small-graph shortcut: id columns only reach the driver
         return connected_components_local(
             r.table("edges", ["a_id", "b_id"]), r.table("docs", ["conv_id"]))
+    r.cluster = {}
     return connected_components(
         r.ds("edges"), r.ds("docs").select_columns(["conv_id"]),
         num_partitions=c.cluster_partitions, max_iters=c.cluster_max_iters,
+        stats=r.cluster,
     )
+
+
+def _cluster_summary(stats: Optional[dict]) -> Optional[dict]:
+    """The summary's ``cluster`` entry: the distributed CC's bucket
+    count, rounds and message rows; None when it did not run (the driver
+    union-find shortcut, or a resumed clusters checkpoint)."""
+    if stats is None:
+        return None
+    return {"buckets": stats["buckets"], "rounds": len(stats["changed"]),
+            "msg_rows": (sum(stats["propagate_msg_rows"])
+                         + sum(stats["jump_msg_rows"]))}
 
 
 @dataclass(frozen=True)
@@ -315,6 +304,7 @@ def _run_graph(transcripts_path: str, run_dir: str,
         "clusters_dir": clusters_dir,
         "rows": r.rows,
         "wall": wall,
+        "cluster": _cluster_summary(r.cluster),
     }
     if labels_path:
         summary["metrics"] = pairwise_f1(

@@ -19,8 +19,7 @@ def register(q):
         from ..ops.graph import triangle_counts_fast
 
         return triangle_counts_fast(
-            _er_edges_ds(sf_dir).select_columns(["a_id", "b_id"]),
-            num_buckets=8)
+            _er_edges_ds(sf_dir).select_columns(["a_id", "b_id"]))
 
     q["er_edge_triangles"] = er_edge_triangles
 
@@ -37,7 +36,7 @@ def register(q):
 
         return pagerank_stationary(
             _er_edges_ds(sf_dir).select_columns(["a_id", "b_id"]),
-            n_iter=3, num_buckets=8)
+            n_iter=3)
 
     q["er_pagerank"] = er_pagerank
 
@@ -53,7 +52,7 @@ def register(q):
 
         return kcore_stationary(
             _er_edges_ds(sf_dir).select_columns(["a_id", "b_id"]),
-            k=2, rounds=3, num_buckets=8)
+            k=2, rounds=3)
 
     q["er_kcore2"] = er_kcore2
 
