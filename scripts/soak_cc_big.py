@@ -20,7 +20,7 @@ Node ids are zero-padded ("n000000042") so the engine's lexicographic
 min-label equals the oracle's integer min.
 
 The engine runs at its default cap of 32 buckets; the JSON records the
-bucket count it derived (``buckets``) from the node count and the CPUs.
+bucket count it ran (``buckets``: one per CPU, at most the cap).
 
 Usage: RAY_GRAFT_CPUS=<n> python scripts/soak_cc_big.py [out.json]
 Prints one JSON line; exits nonzero unless hash-equal AND converged.

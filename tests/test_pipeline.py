@@ -399,8 +399,8 @@ def _welded_chains(n, max_chain, n_bridges, seed):
 
 
 def test_connected_components_bucket_count_is_a_cap(ray_session):
-    """``num_partitions`` caps the bucket count; the count itself follows
-    the node count and the CPUs. On the deep welded-chain graph the
+    """``num_partitions`` caps the bucket count; below the cap it is one
+    bucket per CPU. On the deep welded-chain graph the
     default cap (32) and a cap of 2 both give the driver union-find's
     labels; the derived count is at most the session's CPUs, and equals
     the cap when the cap is smaller."""
@@ -426,9 +426,9 @@ def test_connected_components_bucket_count_is_a_cap(ray_session):
     got_two, b_two = run(num_partitions=2)
     assert got_default.equals(want)
     assert got_two.equals(want)
-    assert b_default <= ncpus
-    assert b_default == min(32, ncpus)  # 400 nodes: one bucket per CPU
-    assert b_two == 2 < ncpus
+    assert b_default <= max(2, ncpus)  # raw_exchange runs >= 2
+    assert b_default == min(32, max(2, ncpus))
+    assert b_two == 2
 
 
 def test_summary_cluster_entry(ray_session, tmp_path):
@@ -452,7 +452,8 @@ def test_summary_cluster_entry(ray_session, tmp_path):
     assert s_local["cluster"] is None
     c = s_dist["cluster"]
     assert sorted(c) == ["buckets", "msg_rows", "rounds"]
-    assert c["buckets"] == min(32, int(ray.cluster_resources()["CPU"]))
+    ncpus = int(ray.cluster_resources()["CPU"])
+    assert c["buckets"] == min(32, max(2, ncpus))
     assert c["rounds"] >= 1 and c["msg_rows"] > 0
     assert s_dist["rows"]["edges"] > 0
 

@@ -1040,6 +1040,9 @@ def near_dup_survivors(docs, threshold: float = 0.5, num_buckets: int = 32,
     propagation, no driver-held graph) over ``minhash_dup_pairs``'s
     verified pair stream, so both building blocks keep their own tests
     and oracles; this operator contributes only the composition.
+    ``num_buckets`` is the pair shuffles' bucket count and the cap of
+    the connected components' (one bucket per CPU below it,
+    ``shuffle.graph_buckets``).
     """
     import pyarrow.compute as pc
 
@@ -1079,7 +1082,9 @@ def simhash_survivors(docs, max_hamming: int = 6, num_buckets: int = 32,
     by pigeonhole only for max_hamming <= 3; the band predicate itself
     is replayed in SQL so the composition stays value-exact beyond it).
     Contributes only the composition; both building blocks keep their
-    own tests and oracles."""
+    own tests and oracles. ``num_buckets`` is the pair shuffles' bucket
+    count and the cap of the connected components' (one bucket per CPU
+    below it, ``shuffle.graph_buckets``)."""
     import pyarrow.compute as pc
 
     from ..pipeline.cluster import connected_components
@@ -1415,7 +1420,9 @@ def near_dup_survivors_best(docs, threshold: float = 0.5,
     per-block partial bests (vectorized sort-head) followed by ONE
     hash(cluster)-bucketed reduce over the already-reduced partials —
     the classic combiner shape; no component's rows ever gather in one
-    task before being reduced."""
+    task before being reduced. ``num_buckets`` is the bucket count of the
+    pair shuffles and joins and the cap of the connected components'
+    (one bucket per CPU below it, ``shuffle.graph_buckets``)."""
     import pyarrow.compute as pc
 
     from ..pipeline.cluster import connected_components

@@ -25,13 +25,12 @@ node-width (or telescoping) messages, never the edge table. All merges
 are integer sums, counts or filters, so any partitioning gives
 identical output, and the chained-CTE SQL twins are value-exact.
 
-Bucket count: ``num_buckets`` is a cap. Each operator materializes its
-edge input once and picks B from the edge count (block metadata) and
-the cluster's CPUs with ``shuffle.graph_input`` — one bucket per CPU
-until the buckets grow past ``GRAPH_ROWS_PER_BUCKET`` edges — then keeps
-that B for every exchange, since its buckets stay in place. Every
-exchange schedules ~B² objects, so a B above what the graph needs costs
-more than the graph.
+Bucket count: ``num_buckets`` is a cap. Each operator picks B once,
+before its first exchange, with ``shuffle.graph_buckets`` — one bucket
+per cluster CPU, never more than the cap — and keeps that B for every
+exchange, since its buckets stay in place. Every exchange schedules ~B²
+objects, so a B above what the cluster can run at once costs more than
+the graph.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import polars as pl
 import pyarrow as pa
 
 from ..pipeline.pairs import _triu_cache
-from ..pipeline.shuffle import (counter_totals, gather, graph_input,
+from ..pipeline.shuffle import (counter_totals, gather, graph_buckets,
                                 raw_exchange)
 
 _SEED = 61        # owner bucket of a node: hash(node, _SEED) % B
@@ -204,12 +203,12 @@ def triangle_counts_fast(edges, num_buckets: int = 32):
        here re-pays the all-to-all scheduling — measured: it tripled
        the op's wall time).
 
-    All five use one bucket count B, derived from the edge count and the
-    cluster's CPUs with ``num_buckets`` as its cap (module docstring)."""
+    All five use one bucket count B: one per cluster CPU, with
+    ``num_buckets`` as its cap (module docstring)."""
     import ray.data as rd
 
-    edge_refs, B = graph_input(edges.select_columns(["a_id", "b_id"]),
-                               num_buckets)
+    edge_refs = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
+    B = graph_buckets(num_buckets)
     if not edge_refs:
         return rd.from_arrow(pa.schema([
             ("conv_id", pa.string()), ("n_triangles", pa.int64())
@@ -292,12 +291,12 @@ def pagerank_stationary(edges, n_iter: int = 3, scale: int = 10**12,
     the object store; each iteration is one exchange that moves only
     NODE-WIDTH data (per-bucket dst-grouped rank shares, at most
     |distinct dst in bucket| rows per bucket), never the edges. The
-    bucket count is derived once from the edge count and the cluster's
-    CPUs, with ``num_buckets`` as its cap (module docstring)."""
+    bucket count is one per cluster CPU, with ``num_buckets`` as its cap
+    (module docstring)."""
     import ray.data as rd
 
-    blocks, B = graph_input(edges.select_columns(["a_id", "b_id"]),
-                            num_buckets)
+    blocks = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
+    B = graph_buckets(num_buckets)
     n_nodes = 0
     if blocks:
         graph, counts = raw_exchange(blocks, _directed_map, _attach_degree, B)
@@ -397,12 +396,12 @@ def kcore_stationary(edges, k: int = 2, rounds: int = 3,
     telescopes to at most 2|E| over ALL rounds combined — plus one row
     per dead node. Every step is a count/filter, so outputs are
     order-independent and bit-exact under any partitioning. The bucket
-    count is derived once from the edge count and the cluster's CPUs,
-    with ``num_buckets`` as its cap (module docstring)."""
+    count is one per cluster CPU, with ``num_buckets`` as its cap (module
+    docstring)."""
     import ray.data as rd
 
-    blocks, B = graph_input(edges.select_columns(["a_id", "b_id"]),
-                            num_buckets)
+    blocks = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
+    B = graph_buckets(num_buckets)
     if not blocks:
         return rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
                                        "core_deg": pa.array([], pa.int64())}))

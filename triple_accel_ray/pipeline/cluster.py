@@ -2,9 +2,9 @@
 
 Distributed path (:func:`connected_components`): per-block
 pre-contraction to star edges, then min-label propagation over
-hash-partitioned RESIDENT buckets. The bucket count B is derived once
-from the node count and the cluster's CPUs, with ``num_partitions`` as
-its cap (``shuffle.graph_input``). Each round is two
+hash-partitioned RESIDENT buckets. The bucket count B is one per
+cluster CPU, with ``num_partitions`` as its cap, chosen once before the
+first exchange (``shuffle.graph_buckets``). Each round is two
 ``shuffle.raw_exchange`` calls over the same buckets: a propagate
 exchange (each bucket joins its own edges against its own label slice
 and ships only (destination, min label) id-width messages), then a
@@ -30,7 +30,8 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
-from .shuffle import counter_totals, gather, graph_input, raw_exchange, route
+from .shuffle import (counter_totals, gather, graph_buckets, raw_exchange,
+                      route)
 
 _SEED = 71  # owner bucket of a node: hash(node, _SEED) % B
 
@@ -236,8 +237,8 @@ def connected_components(
     NOT reached in ``max_iters`` the labels would be stale (a component
     can keep >1 label), so this raises RuntimeError instead: the result
     is exact or there is none."""
-    # num_partitions caps the bucket count B, which shuffle.graph_input
-    # derives from the node count and the cluster's CPUs.
+    # num_partitions caps the bucket count B, which shuffle.graph_buckets
+    # sets to one per cluster CPU.
     # stats (optional dict, filled in place): "buckets" (that B) and
     # per-iteration telemetry —
     # "propagate_msg_rows" / "jump_msg_rows" (total message rows shipped
@@ -250,7 +251,8 @@ def connected_components(
     # shrink toward the fixpoint.
     import ray.data as rd
 
-    node_refs, B = graph_input(nodes, num_partitions)
+    B = graph_buckets(num_partitions)
+    node_refs = nodes.to_arrow_refs()
     if not node_refs:
         return rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
                                        "cluster_id": pa.array([], pa.string())}))
@@ -383,10 +385,16 @@ def clusters_after_delete(edges, nodes, deleted, num_partitions: int = 32,
     texty moves.
 
     ``edges``/``nodes`` are the full pre-delete graph; ``deleted`` is a
-    dataset of conv_id."""
+    dataset of conv_id. ``num_partitions`` caps the bucket count of every
+    join and connected components run here: one bucket per cluster CPU
+    (``shuffle.graph_buckets``). On a 3,000-node, 2,000-edge graph with
+    30 deleted nodes on 4 CPUs, joins at a fixed 32 buckets took
+    10.3-13.5 s against 2.4-2.8 s at 4."""
     import pyarrow.compute as pc
 
     from .shuffle import bucket_join
+
+    B = graph_buckets(num_partitions)
 
     _id = pa.schema([("conv_id", pa.string())])
     _cl = pa.schema([("conv_id", pa.string()), ("cluster_id", pa.string())])
@@ -394,13 +402,13 @@ def clusters_after_delete(edges, nodes, deleted, num_partitions: int = 32,
     _es = pa.schema([("a_id", pa.string()), ("b_id", pa.string())])
 
     old = connected_components(
-        edges, nodes, num_partitions=num_partitions, max_iters=max_iters,
+        edges, nodes, num_partitions=B, max_iters=max_iters,
     ).materialize()
 
     # clusters that lost a member
     aff = bucket_join(
         old, deleted, "conv_id", "conv_id", _cl, _id,
-        num_buckets=num_partitions, how="semi",
+        num_buckets=B, how="semi",
     ).map_batches(
         lambda t: pa.table({"cluster_id": pc.unique(t["cluster_id"])}),
         batch_format="pyarrow",
@@ -408,15 +416,15 @@ def clusters_after_delete(edges, nodes, deleted, num_partitions: int = 32,
 
     untouched = bucket_join(
         old, aff, "cluster_id", "cluster_id", _cl, _key,
-        num_buckets=num_partitions, how="anti",
+        num_buckets=B, how="anti",
     )
 
     # surviving members of affected clusters = the recompute node set
     rec_nodes = bucket_join(
         bucket_join(old, aff, "cluster_id", "cluster_id", _cl, _key,
-                    num_buckets=num_partitions, how="semi"),
+                    num_buckets=B, how="semi"),
         deleted, "conv_id", "conv_id", _cl, _id,
-        num_buckets=num_partitions, how="anti",
+        num_buckets=B, how="anti",
     ).map_batches(
         lambda t: pa.table({"conv_id": t["conv_id"]}),
         batch_format="pyarrow",
@@ -424,9 +432,9 @@ def clusters_after_delete(edges, nodes, deleted, num_partitions: int = 32,
 
     rec_edges = bucket_join(
         bucket_join(edges, rec_nodes, "a_id", "conv_id", _es, _id,
-                    num_buckets=num_partitions, how="semi"),
+                    num_buckets=B, how="semi"),
         rec_nodes, "b_id", "conv_id", _es, _id,
-        num_buckets=num_partitions, how="semi",
+        num_buckets=B, how="semi",
     ).materialize()
 
     # same discipline as run.py's cluster stage: the recompute subgraph
@@ -447,7 +455,7 @@ def clusters_after_delete(edges, nodes, deleted, num_partitions: int = 32,
                 pa.concat_tables(nt)))
     else:
         renew = connected_components(
-            rec_edges, rec_nodes, num_partitions=num_partitions,
+            rec_edges, rec_nodes, num_partitions=B,
             max_iters=max_iters,
         )
     return untouched.union(renew)

@@ -69,8 +69,8 @@ class PipelineConfig:
 
     # --- clustering -------------------------------------------------------
     # a CAP on the distributed connected components' bucket count: the
-    # op derives the count from the node count and the cluster's CPUs
-    # (shuffle.graph_input) and never exceeds this
+    # op runs one bucket per cluster CPU (shuffle.graph_buckets) and
+    # never more than this
     cluster_partitions: int = 32
     cluster_max_iters: int = 25
     # below this many edges the driver-side union-find shortcut is valid

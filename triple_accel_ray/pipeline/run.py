@@ -79,7 +79,8 @@ def _read_blocks() -> int:
     per-block sort-map scheduling and object churn dominate), and the cost
     is size-independent so it was the pipeline's largest FIXED serial term.
     On a real cluster this is still ~1 block per core fleet-wide."""
-    return max(8, cluster_cpus())
+    ncpus = cluster_cpus()
+    return 32 if ncpus is None else max(8, ncpus)
 
 
 # ~rows per bucket targets: sized so the sf0.1 headline keeps its measured
@@ -97,10 +98,11 @@ def _score_batch_size(cfg: PipelineConfig, n_pairs_est: int) -> int:
     kernels were numpy, whose per-call dispatch made small batches dear
     (single-core on the sf0.1 pair mix: 62.7 core-s at bs=512 vs 51.0 at
     bs=8192); whether it still pays with the compiled kernel is open."""
+    ncpus = cluster_cpus() or 32
     return int(
         min(
             cfg.score_batch_max,
-            max(cfg.score_batch_size, n_pairs_est // (4 * cluster_cpus())),
+            max(cfg.score_batch_size, n_pairs_est // (4 * ncpus)),
         )
     )
 

@@ -1,7 +1,9 @@
 """Bucket routing: the one place that knows how rows are split into
 hash buckets and shipped between tasks, and how many buckets a shuffle
-gets (:func:`effective_buckets`: one bucket per cluster CPU, more only
-when the input is large, never more than the caller's cap).
+gets (:func:`effective_buckets` for the Dataset shuffles: one bucket per
+cluster CPU, more only when the input is large; :func:`graph_buckets`
+for the graph operators: one per CPU; never more than the caller's
+cap).
 
 Two forms. ``hash_split``/``route``/``raw_exchange`` move
 object-store-resident Arrow parts between plain Ray tasks; they carry
@@ -26,13 +28,13 @@ import pyarrow as pa
 import ray
 
 
-def cluster_cpus() -> int:
-    """CPUs the Ray cluster reports; 32 when it reports none or there is
-    no session to ask. Callers apply their own floor."""
+def cluster_cpus() -> int | None:
+    """CPUs the Ray cluster reports (0 when it reports none), or None
+    when there is no session to ask. Callers apply their own fallback."""
     try:
-        return int(ray.cluster_resources().get("CPU", 0)) or 32
+        return int(ray.cluster_resources().get("CPU", 0))
     except Exception:  # pragma: no cover - no session (tests init lazily)
-        return 32
+        return None
 
 
 def effective_buckets(cap: int, n_rows: int, target_rows: int) -> int:
@@ -45,32 +47,22 @@ def effective_buckets(cap: int, n_rows: int, target_rows: int) -> int:
     a fixed count on the pipeline shuffles at sf0.4/16cpu vs sf0.1/32cpu:
     a fixed 32 makes the sf0.4 scorer 15 tasks of 9-26 s (wall = longest
     task); a fixed 128 adds ~1.3 s of per-reducer overhead to the sf0.1
-    pairs stage (300-row buckets). On the graph operators every round
-    schedules ~3·B² objects, so a count above the CPUs buys nothing until
-    the buckets are large (:data:`GRAPH_ROWS_PER_BUCKET`)."""
-    return int(min(cap, max(cluster_cpus(), n_rows // target_rows)))
+    pairs stage (300-row buckets)."""
+    return int(min(cap, max(cluster_cpus() or 32, n_rows // target_rows)))
 
 
-# ~input rows per bucket before a raw_exchange operator adds buckets
-# beyond one per CPU (graph_input). From a sweep of connected components
-# at fixed B on 4 CPUs: a 2.28M-node graph ran 13.8-15.4 s at B = 4
-# (570k nodes per bucket), 15.1-15.5 s at 8, 20 s at 16 and 27-36 s at
-# 32; a 30k-node graph 0.6-1.0 s at B = 2 or 4 and 2.6-2.9 s at 32.
-# Past one bucket per CPU, smaller buckets bought nothing on either.
-GRAPH_ROWS_PER_BUCKET = 1 << 19
-
-
-def graph_input(ds, cap: int) -> tuple[list, int]:
-    """A graph operator's input blocks and the bucket count B that every
-    one of its exchanges keeps (the buckets stay in place across rounds,
-    so B is chosen once, before the first exchange). ``ds`` is
-    materialized once; its row count is block metadata, so no row
-    reaches the driver. B = :func:`effective_buckets` of that count at
-    :data:`GRAPH_ROWS_PER_BUCKET`, capped at ``cap``, and at least 2
-    (what :func:`raw_exchange` runs)."""
-    ds = ds.materialize()
-    return ds.to_arrow_refs(), _fan_out(
-        effective_buckets(cap, ds.count(), GRAPH_ROWS_PER_BUCKET))
+def graph_buckets(cap: int) -> int:
+    """Bucket count of a graph operator: one bucket per cluster CPU, at
+    most ``cap``, at least 2 (what :func:`raw_exchange` runs). The
+    operator picks it once, before its first exchange, and keeps it for
+    every round, since its buckets stay in place. Every round schedules
+    ~3·B² objects, and past one bucket per CPU smaller buckets bought
+    nothing: connected components at fixed B on 4 CPUs ran a 30k-node
+    graph in 0.6-1.0 s at B = 2 or 4 and 2.6-2.9 s at 32, and a
+    2.28M-node graph in 13.8-15.4 s at B = 4, 15.1-15.5 s at 8, 20 s at
+    16 and 27-36 s at 32. No graph was measured where more buckets than
+    CPUs paid, so the input's size does not enter the count."""
+    return _fan_out(min(cap, cluster_cpus() or 32))
 
 
 def bucket_partition(ds, fn, num_buckets: int, *, bucket_col: str = "bucket",

@@ -19,7 +19,8 @@ def register(q):
         from ..ops.graph import triangle_counts_fast
 
         return triangle_counts_fast(
-            _er_edges_ds(sf_dir).select_columns(["a_id", "b_id"]))
+            _er_edges_ds(sf_dir).select_columns(["a_id", "b_id"]),
+            num_buckets=8)
 
     q["er_edge_triangles"] = er_edge_triangles
 
@@ -36,7 +37,7 @@ def register(q):
 
         return pagerank_stationary(
             _er_edges_ds(sf_dir).select_columns(["a_id", "b_id"]),
-            n_iter=3)
+            n_iter=3, num_buckets=8)
 
     q["er_pagerank"] = er_pagerank
 
@@ -52,7 +53,7 @@ def register(q):
 
         return kcore_stationary(
             _er_edges_ds(sf_dir).select_columns(["a_id", "b_id"]),
-            k=2, rounds=3)
+            k=2, rounds=3, num_buckets=8)
 
     q["er_kcore2"] = er_kcore2
 
