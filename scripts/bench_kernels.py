@@ -138,25 +138,11 @@ def main():
         dt = time.perf_counter() - t0
         out[f"ham_search_h{hlen}"] = {"haystacks_per_sec": round(n / dt)}
 
-    # long-string unit-cost pairs: the compiled banded Myers (what
-    # levenshtein_k_batch runs for unit costs) vs the numpy banded DP
-    from triple_accel_ray.kernels.batch import (
-        _chunk_banded_dp, _max_k_unit_k, to_byte_rows,
-    )
-    from triple_accel_ray.kernels.types import LEVENSHTEIN_COSTS
-    import numpy as np
-
-    def _banded_only(a_col, b_col, k):
-        da, oa = to_byte_rows(a_col)
-        db, ob = to_byte_rows(b_col)
-        la, lb = np.diff(oa), np.diff(ob)
-        short, lng = np.minimum(la, lb), np.maximum(la, lb)
-        mk, uk = _max_k_unit_k(short, lng, np.int64(k), LEVENSHTEIN_COSTS)
-        res = np.full(len(la), -1, np.int64)
-        rr = np.nonzero((lng - short) <= uk)[0]
-        _chunk_banded_dp(da, oa, db, ob, rr, mk[rr], uk[rr],
-                         LEVENSHTEIN_COSTS, res)
-        return res
+    # long-string pairs through each batch entry: unit costs (the banded
+    # Myers), restricted Damerau (the general-cost banded DP) and the
+    # traced unit-cost DP, on the same pairs
+    from triple_accel_ray.kernels.batch import levenshtein_k_batch_trace
+    from triple_accel_ray.kernels.types import RDAMERAU_COSTS
 
     for L, k in ((1000, 100), (512, 76)):
         n2 = 2048
@@ -168,13 +154,16 @@ def main():
         g1 = levenshtein_k_batch(a_col, b_col, k)
         dt_m = time.perf_counter() - t0
         t0 = time.perf_counter()
-        g2 = _banded_only(a_col, b_col, k)
-        dt_b = time.perf_counter() - t0
+        levenshtein_k_batch(a_col, b_col, k, RDAMERAU_COSTS)
+        dt_r = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        g2, _ = levenshtein_k_batch_trace(a_col, b_col, k)
+        dt_t = time.perf_counter() - t0
         assert (g1 == g2).all()
-        out[f"lev_long_myers_len{L}_k{k}"] = {
+        out[f"lev_long_len{L}_k{k}"] = {
             "pairs_per_sec": round(n2 / dt_m),
-            "banded_pairs_per_sec": round(n2 / dt_b),
-            "speedup": round(dt_b / dt_m, 1),
+            "rdamerau_pairs_per_sec": round(n2 / dt_r),
+            "trace_pairs_per_sec": round(n2 / dt_t),
         }
 
     # column-vectorized search over a haystack COLUMN (one needle), sparse

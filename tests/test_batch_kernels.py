@@ -1,5 +1,5 @@
-"""Batch kernels (the compiled unit-cost Myers and the numpy DP) must agree
-exactly with the scalar oracle on every row — including the -1/None
+"""Batch kernels (the compiled unit-cost Myers and general-cost banded DP)
+must agree exactly with the scalar oracle on every row — including the -1/None
 boundary — across cost models, lengths, and Arrow input types; the
 compiled kernel's build fails loudly and is shared safely."""
 
@@ -20,6 +20,7 @@ from triple_accel_ray.kernels.batch import (
     hamming_batch,
     levenshtein_batch,
     levenshtein_k_batch,
+    levenshtein_k_batch_trace,
     to_byte_rows,
 )
 from triple_accel_ray.kernels.scalar import (
@@ -128,7 +129,7 @@ def test_levenshtein_k_batch_matches_scalar(costs, k):
     pairs = make_pairs(rng, 150, 40, 6)
     a_col = [a for a, _ in pairs]
     b_col = [b for _, b in pairs]
-    got = levenshtein_k_batch(a_col, b_col, k, costs, chunk_pairs=64)
+    got = levenshtein_k_batch(a_col, b_col, k, costs)
     for i, (a, b) in enumerate(pairs):
         want = levenshtein_k_with_opts(a, b, k, False, costs)
         if want is None:
@@ -138,17 +139,22 @@ def test_levenshtein_k_batch_matches_scalar(costs, k):
 
 
 def test_levenshtein_k_batch_long_strings():
+    """Distance and trace on 200-600 byte pairs (several 64-row words, a
+    wide band) under unit costs and restricted Damerau."""
     rng = random.Random(9)
-    a_col, b_col, want = [], [], []
+    a_col, b_col = [], []
     for _ in range(25):
         a = rand_str(rng, rng.randrange(200, 600))
-        b = mutate(rng, a, 20)
         a_col.append(a)
-        b_col.append(b)
-        r = levenshtein_k_with_opts(a, b, 32)
-        want.append(-1 if r is None else r[0])
-    got = levenshtein_k_batch(a_col, b_col, 32)
-    assert got.tolist() == want
+        b_col.append(mutate(rng, a, 20))
+    for costs in (LEVENSHTEIN_COSTS, RDAMERAU_COSTS):
+        want = [levenshtein_k_with_opts(a, b, 32, True, costs)
+                for a, b in zip(a_col, b_col)]
+        want_d = [-1 if r is None else r[0] for r in want]
+        assert levenshtein_k_batch(a_col, b_col, 32, costs).tolist() == want_d
+        d, traces = levenshtein_k_batch_trace(a_col, b_col, 32, costs)
+        assert d.tolist() == want_d
+        assert traces == [None if r is None else r[1] for r in want]
 
 
 def test_levenshtein_batch_unbounded():

@@ -195,24 +195,6 @@ def test_explain_edges_traces(ray_session):
     assert consumed_a == len("hello world")
 
 
-def test_adaptive_score_batch_size(ray_session):
-    from triple_accel_ray.pipeline.config import PipelineConfig
-    from triple_accel_ray.pipeline.run import _score_batch_size
-
-    import ray
-
-    ncpus = int(ray.cluster_resources()["CPU"])
-    cfg = PipelineConfig()
-    # tiny workloads stay at the floor
-    assert _score_batch_size(cfg, 1_000) == cfg.score_batch_size
-    # huge workloads cap at the max
-    assert _score_batch_size(cfg, 100_000_000) == cfg.score_batch_max
-    # mid-size keeps >= 4 batches per CPU
-    n = 100 * 4 * ncpus * 1000
-    bs = _score_batch_size(cfg, n)
-    assert bs == min(cfg.score_batch_max, n // (4 * ncpus))
-
-
 def test_cluster_local_transitivity():
     edges = pa.table({"a_id": ["a", "b", "x"], "b_id": ["b", "c", "y"]})
     nodes = pa.table({"conv_id": ["a", "b", "c", "x", "y", "z"]})

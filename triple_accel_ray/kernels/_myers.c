@@ -1,7 +1,7 @@
-/* Unit-cost edit distance and fuzzy search over byte strings.
+/* Edit distance, traceback and fuzzy search over byte strings.
 
    One Myers engine (Myers 1999, block carries after Hyyro 2003, the edlib
-   layout) behind three entries:
+   layout) behind the unit-cost entries:
    - lev_k_unit / lev_k_pair: k-bounded distance of a batch of pairs, or
      of one pair. The shorter string is the pattern, cut into 64-row
      blocks, and the longer one is scanned one column at a time. Only the
@@ -19,7 +19,13 @@
    true distance (a dropped top block feeds the live ones +1 per column, a
    new bottom block starts at +1 per row below its neighbour), and every
    cell of an optimal alignment costing <= k stays live, so a result <= k
-   is exact. Built and loaded by native.py. */
+   is exact.
+
+   Every other cost model (affine gaps, restricted transpositions) and
+   every traceback run lev_k_costs, a cell-for-cell port of the
+   reference's banded DP (scalar.levenshtein_k_with_opts) that also walks
+   the argmin codes back to one edit code per step. Built and loaded by
+   native.py. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -300,4 +306,160 @@ fail:
 void lev_free(void *p)
 {
     free(p);
+}
+
+/* ---- general costs: the reference's banded DP (levenshtein.rs:376-607) */
+
+#define U32_MAX 4294967295LL
+
+static inline int64_t min64(int64_t x, int64_t y)
+{
+    return x < y ? x : y;
+}
+
+static inline int64_t sat_add(int64_t x, int64_t y)
+{
+    return min64(x + y, U32_MAX);
+}
+
+/* For la <= lb, caps k by the achievable cost and derives the band
+   half-width unit_k (levenshtein.rs:399-426, scalar._max_k_and_band).
+   Returns the band's cells per row, min(2 unit_k + 1, lb + 1), or 0 when
+   the length gap alone is over the band. c holds the mismatch, gap,
+   gap-open and transpose costs (transpose < 0: none). */
+static int64_t cap_band(int64_t la, int64_t lb, int64_t k, const int64_t *c,
+                        int64_t *max_k, int64_t *unit_k)
+{
+    int64_t gaps = la ? 2 * la * c[1] + c[2] + (la == lb ? c[2] : 0) : 0;
+    *max_k = min64(k, min64(la * c[0], gaps) + (lb - la) * c[1] +
+                          (la == lb ? 0 : c[2]));
+    *unit_k = (*max_k > c[2] ? *max_k - c[2] : 0) / c[1];
+    return lb - la > *unit_k ? 0 : min64(2 * *unit_k + 1, lb + 1);
+}
+
+/* scalar.levenshtein_k_with_opts of a (la <= lb) and b, cell for cell:
+   rows over a, a band of k_len cells over b, int64 cells with the
+   reference's u32 sentinel and saturating gap sums, and its tie-break
+   (substitution, then a strictly better a-gap, then a strictly better
+   b-gap, then a transpose on ties). Returns the distance, or -1 where it
+   exceeds max_k; a pair stops once two rows and the b-gap state are over
+   max_k, as every later cell builds on them. buf holds 5 k_len cells.
+   With tb, stores row i's argmin codes (0 substitution, 1 a-gap, 2 b-gap,
+   3 transpose) at tb + i k_len. */
+static int64_t banded_dp(const uint8_t *a, int64_t la, const uint8_t *b,
+                         int64_t lb, int64_t max_k, int64_t unit_k,
+                         int64_t k_len, const int64_t *c, int64_t *buf,
+                         uint8_t *tb)
+{
+    int64_t mis = c[0], gap = c[1], sg = c[2], tc = c[3];
+    int64_t *dp0 = buf, *dp1 = dp0 + k_len, *dp2 = dp1 + k_len;
+    int64_t *bg = dp2 + k_len, *bg_prev = bg + k_len, *x;
+    int64_t lo = 0, hi = min64(unit_k + 1, lb + 1), plo1 = 0;
+    int64_t floor_prev = 0; /* row 0's least cell, D[0][0] */
+
+    for (int64_t j = 0; j < k_len; j++) {
+        dp1[j] = j ? j * gap + sg : 0;
+        bg[j] = U32_MAX;
+    }
+    if (tb)
+        memset(tb, 1, hi);
+    for (int64_t i = 1; i <= la; i++) {
+        int64_t plo0 = plo1, phi = hi, ag = U32_MAX, floor = U32_MAX;
+        uint8_t ai = a[i - 1], *row = tb ? tb + i * k_len : NULL;
+        plo1 = lo;
+        hi = min64(hi + 1, lb + 1);
+        lo += i > unit_k;
+        x = bg, bg = bg_prev, bg_prev = x;
+        for (int64_t j = 0; j < hi - lo; j++) {
+            int64_t idx = lo + j, best, code = 0;
+            best = idx ? dp1[idx - 1 - plo1] + (ai != b[idx - 1] ? mis : 0)
+                       : U32_MAX;
+            if (j)
+                ag = min64(dp2[j - 1] + sg + gap, sat_add(ag, gap));
+            if (ag < best)
+                best = ag, code = 1;
+            bg[j] = idx < phi ? min64(dp1[idx - plo1] + sg + gap,
+                                      sat_add(bg_prev[idx - plo1], gap))
+                              : U32_MAX;
+            if (bg[j] < best)
+                best = bg[j], code = 2;
+            if (tc >= 0 && i > 1 && idx > 1 && ai == b[idx - 2] &&
+                a[i - 2] == b[idx - 1] && dp0[idx - plo0 - 2] + tc <= best)
+                best = dp0[idx - plo0 - 2] + tc, code = 3;
+            dp2[j] = best;
+            if (row)
+                row[j] = code;
+            floor = min64(floor, min64(best, bg[j]));
+        }
+        x = dp0, dp0 = dp1, dp1 = dp2, dp2 = x;
+        if (floor > max_k && floor_prev > max_k)
+            return -1;
+        floor_prev = floor;
+    }
+    return dp1[hi - lo - 1] <= max_k ? dp1[hi - lo - 1] : -1;
+}
+
+/* out[i] = edit distance under costs c of rows i of (da, oa) and (db, ob),
+   or -1 where it exceeds the capped max_k[i]; the shorter row of a pair
+   is the DP's a. With trace, also walks back each pair with out[i] >= 0
+   and appends its edits in order to trace, one code per step: 0 match,
+   1 mismatch, 2 a-gap, 3 b-gap, 4 transpose, in the frame of the shorter
+   row (a caller un-swaps gaps where row a was the longer); steps[i] gets
+   the count (0 for -1 pairs). trace needs room for the total length of
+   both columns. Returns 0, or -1 if scratch memory could not be
+   allocated. */
+int lev_k_costs(int64_t n, const uint8_t *da, const int64_t *oa,
+                const uint8_t *db, const int64_t *ob, const int64_t *k,
+                const int64_t *c, int64_t *out, uint8_t *trace,
+                int64_t *steps)
+{
+    int64_t cells = 1, codes = 1, max_k, unit_k;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t la = oa[i + 1] - oa[i], lb = ob[i + 1] - ob[i];
+        int64_t m = min64(la, lb);
+        int64_t w = cap_band(m, la + lb - m, k[i], c, &max_k, &unit_k);
+        if (w > cells)
+            cells = w;
+        if ((m + 1) * w > codes)
+            codes = (m + 1) * w;
+    }
+    int64_t *buf = malloc(5 * cells * sizeof(int64_t));
+    uint8_t *tb = trace ? malloc(codes) : NULL;
+    if (!buf || (trace && !tb)) {
+        free(buf), free(tb);
+        return -1;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *a = da + oa[i], *b = db + ob[i], *y;
+        int64_t la = oa[i + 1] - oa[i], lb = ob[i + 1] - ob[i], x = la;
+        if (la > lb)
+            y = a, a = b, b = y, la = lb, lb = x;
+        int64_t w = cap_band(la, lb, k[i], c, &max_k, &unit_k);
+        out[i] = w ? banded_dp(a, la, b, lb, max_k, unit_k, w, c, buf, tb) : -1;
+        if (!trace)
+            continue;
+        steps[i] = 0;
+        if (out[i] < 0)
+            continue;
+        /* walk back from (la, lb), writing codes backwards from the end
+           of this pair's la + lb bytes, then move them to the front */
+        int64_t r = la, j = lb;
+        uint8_t *end = trace + la + lb, *p = end;
+        while (r > 0 || j > 0) {
+            int code = tb[r * w + j - (r > unit_k ? r - unit_k : 0)];
+            if (code == 0)
+                r--, j--, *--p = a[r] != b[j];
+            else if (code == 1)
+                j--, *--p = 2;
+            else if (code == 2)
+                r--, *--p = 3;
+            else
+                r -= 2, j -= 2, *--p = 4;
+        }
+        steps[i] = end - p;
+        memmove(trace, p, steps[i]);
+        trace += steps[i];
+    }
+    free(buf), free(tb);
+    return 0;
 }

@@ -7,10 +7,10 @@ SIMD paths diverge from its naive paths on a handful of known edge cases
 ``scripts/diff_reference.py`` reproduces and arbitrates those, and this port
 resolves them in favor of the naive semantics — so ``*_simd_*`` outputs are
 NOT bit-identical to the reference's SIMD functions on exactly those inputs.
-The ``*_simd_*`` names are kept for API parity and dispatch to our fast paths
-(the compiled Myers engine in ``_myers.c`` for unit costs without traceback,
-banded DP otherwise), mirroring the reference's runtime ladder
-(levenshtein.rs:766-827).
+The ``*_simd_*`` names are kept for API parity and dispatch to the compiled
+engine in ``_myers.c`` (Myers for unit costs without traceback, the banded
+DP for every other cost model and every trace), mirroring the reference's
+runtime ladder (levenshtein.rs:766-827).
 
 Search routines return eager lists of :class:`Match` (the reference returns
 lazy iterators; the values and order are identical).
@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import native, scalar
+from . import batch, native, scalar
 from .search_fast import select_matches
 from .types import (
     LEVENSHTEIN_COSTS,
@@ -168,18 +168,28 @@ def levenshtein_simd_k_with_opts(
     a, b, k: int, trace_on: bool = False, costs: EditCosts = LEVENSHTEIN_COSTS
 ) -> Optional[Tuple[int, Optional[List[Edit]]]]:
     """Fast-path dispatch with outputs identical to the banded DP
-    (mirrors levenshtein.rs:714-827's dispatch-with-identical-results)."""
-    pair = None if trace_on or not costs.is_unit() else _byte_pair(a, b)
-    if pair is not None:
-        # the compiled Myers engine, under the same achievable-cost cap the
-        # banded DP applies so the None/Some boundary is identical
-        a_s, b_s = sorted(pair, key=len)
-        max_k, unit_k = scalar._max_k_and_band(len(a_s), len(b_s), k, costs)
-        if len(b_s) - len(a_s) > unit_k:
-            return None
+    (mirrors levenshtein.rs:714-827's dispatch-with-identical-results):
+    the compiled engine, its Myers for unit costs without a trace and its
+    banded DP otherwise; only inputs with more than 256 distinct symbols
+    run the scalar DP."""
+    pair = _byte_pair(a, b)
+    if pair is None:
+        return scalar.levenshtein_k_with_opts(a, b, k, trace_on, costs)
+    # the banded DP's achievable-cost cap, so the None/Some boundary is
+    # the DP's and any k reaches the kernels as an int64
+    a_s, b_s = sorted(pair, key=len)
+    max_k, unit_k = scalar._max_k_and_band(len(a_s), len(b_s), k, costs)
+    if len(b_s) - len(a_s) > unit_k:
+        return None
+    if trace_on:
+        d, traces = batch.levenshtein_k_batch_trace(
+            [pair[0]], [pair[1]], max_k, costs)
+        return None if d[0] < 0 else (int(d[0]), traces[0])
+    if costs.is_unit():
         d = native.levenshtein_k_pair(a_s, b_s, max_k)
-        return None if d < 0 else (d, None)
-    return scalar.levenshtein_k_with_opts(a, b, k, trace_on, costs)
+    else:
+        d = int(batch.levenshtein_k_batch([a_s], [b_s], max_k, costs)[0])
+    return None if d < 0 else (d, None)
 
 
 def levenshtein_simd_k(a, b, k: int) -> Optional[int]:
@@ -205,17 +215,10 @@ def translate_str(chars: List[str], s: str) -> Optional[List[int]]:
 
 def levenshtein_simd_k_str(a: str, b: str, k: int) -> Optional[int]:
     """ASCII strings go through the byte kernel; other strings are
-    dictionary-encoded first (levenshtein.rs:641-651)."""
-    if a.isascii() and b.isascii():
-        return levenshtein_simd_k(a.encode(), b.encode(), k)
-    chars: List[str] = []
-    ta = translate_str(chars, a)
-    if ta is None:
-        return None
-    tb = translate_str(chars, b)
-    if tb is None:
-        return None
-    return levenshtein_simd_k(bytes(ta), bytes(tb), k)
+    dictionary-encoded first, and None when together they hold more than
+    256 distinct chars (levenshtein.rs:641-651)."""
+    pair = _byte_pair(a, b)
+    return None if pair is None else levenshtein_simd_k(*pair, k)
 
 
 def levenshtein(a, b) -> int:
@@ -228,19 +231,10 @@ def rdamerau(a, b) -> int:
     return levenshtein_simd_k_with_opts(a, b, U32_MAX, False, RDAMERAU_COSTS)[0]
 
 
-def levenshtein_exp(a, b) -> int:
-    """Exponential search on k: 30, 60, 120, ... (levenshtein.rs:1445-1454)."""
-    k = 30
-    while True:
-        res = levenshtein_simd_k(a, b, k)
-        if res is not None:
-            return res
-        k *= 2
-
-
 def levenshtein_exp_with_opts(
     a, b, trace_on: bool = False, costs: EditCosts = LEVENSHTEIN_COSTS
 ) -> Tuple[int, Optional[List[Edit]]]:
+    """Exponential search on k: 30, 60, 120, ... (levenshtein.rs:1445-1454)."""
     k = 30
     while True:
         res = levenshtein_simd_k_with_opts(a, b, k, trace_on, costs)
@@ -249,13 +243,12 @@ def levenshtein_exp_with_opts(
         k *= 2
 
 
+def levenshtein_exp(a, b) -> int:
+    return levenshtein_exp_with_opts(a, b)[0]
+
+
 def rdamerau_exp(a, b) -> int:
-    k = 30
-    while True:
-        res = levenshtein_simd_k_with_opts(a, b, k, False, RDAMERAU_COSTS)
-        if res is not None:
-            return res[0]
-        k *= 2
+    return levenshtein_exp_with_opts(a, b, False, RDAMERAU_COSTS)[0]
 
 
 # ------------------------------------------------------------------ search

@@ -1,7 +1,8 @@
-"""The compiled unit-cost kernels: ``_myers.c`` built with gcc on first use
-and called through ctypes, which releases the GIL for the call. It holds
-the one Myers engine behind batch and single-pair distance, the bag bound
-and column search.
+"""The compiled edit-distance kernels: ``_myers.c`` built with gcc on first
+use and called through ctypes, which releases the GIL for the call. It
+holds the one Myers engine behind unit-cost batch and single-pair
+distance, the bag bound and column search, and the banded DP with
+traceback behind every other cost model and every traced distance.
 
 The library is cached as ``CACHE_DIR/<sha256 of source, flags and gcc
 version>.so``. A build holds an ``fcntl`` lock on ``<key>.so.lock``,
@@ -25,8 +26,8 @@ import tempfile
 import numpy as np
 
 __all__ = [
-    "levenshtein_k_unit", "levenshtein_k_pair", "bag_distance_unit",
-    "myers_search_column", "kernel_hash",
+    "levenshtein_k_unit", "levenshtein_k_pair", "levenshtein_k_costs",
+    "bag_distance_unit", "myers_search_column", "kernel_hash",
 ]
 
 GCC = "/usr/bin/gcc"
@@ -103,6 +104,8 @@ def _lib():
         lib.lev_search_unit.argtypes = [ctypes.c_char_p, i64, i64, ptr, ptr,
                                         i64, ctypes.POINTER(ptr)]
         lib.lev_search_unit.restype = i64
+        lib.lev_k_costs.argtypes = [i64] + [ptr] * 9
+        lib.lev_k_costs.restype = ctypes.c_int
         lib.lev_free.argtypes = [ptr]
         lib.lev_free.restype = None
         _LIB, _KEY = lib, key
@@ -134,16 +137,20 @@ def _pair_rows(da, oa, db, ob):
     return da, oa, db, ob, len(oa) - 1
 
 
+def _bounds_out(max_k, out, n):
+    if out.shape != (n,) or out.dtype != np.int64 \
+            or not out.flags.c_contiguous:
+        raise ValueError("row counts or output buffer do not match")
+    return np.ascontiguousarray(np.broadcast_to(max_k, (n,)), np.int64)
+
+
 def levenshtein_k_unit(da, oa, db, ob, max_k, out) -> None:
     """Fill ``out`` (int64, one per row) with the unit-cost edit distance
     of rows ``(da, oa)[i]`` and ``(db, ob)[i]``, or -1 where it exceeds
     ``max_k[i]``. ``da``/``db`` are flat bytes and ``oa``/``ob`` int64
     offsets, as :func:`batch.to_byte_rows` returns them."""
     da, oa, db, ob, n = _pair_rows(da, oa, db, ob)
-    max_k = np.ascontiguousarray(np.broadcast_to(max_k, (n,)), np.int64)
-    if out.shape != (n,) or out.dtype != np.int64 \
-            or not out.flags.c_contiguous:
-        raise ValueError("row counts or output buffer do not match")
+    max_k = _bounds_out(max_k, out, n)
     if _lib().lev_k_unit(n, da.ctypes.data, oa.ctypes.data, db.ctypes.data,
                          ob.ctypes.data, max_k.ctypes.data, out.ctypes.data):
         raise MemoryError("lev_k_unit could not allocate its scratch")
@@ -157,6 +164,34 @@ def levenshtein_k_pair(a: bytes, b: bytes, max_k: int) -> int:
     if d == -2:
         raise MemoryError("lev_k_pair could not allocate its scratch")
     return d
+
+
+def levenshtein_k_costs(da, oa, db, ob, max_k, costs, out, trace=False):
+    """Fill ``out`` with the edit distance of each row pair under ``costs``
+    (an ``EditCosts``), or -1 where it exceeds ``max_k[i]`` capped by the
+    achievable cost: the banded DP of ``scalar.levenshtein_k_with_opts``,
+    over the same flat rows as :func:`levenshtein_k_unit`.
+
+    With ``trace``, returns ``(codes, steps)``: the alignment of each pair
+    with ``out[i] >= 0`` as ``steps[i]`` uint8 codes (0 match, 1 mismatch,
+    2 a-gap, 3 b-gap, 4 transpose), pair after pair in ``codes``. The
+    codes are in the frame of the pair's shorter row: where row ``a`` is
+    the longer, its a-gap and b-gap codes trade places."""
+    da, oa, db, ob, n = _pair_rows(da, oa, db, ob)
+    max_k = _bounds_out(max_k, out, n)
+    c = np.array([costs.mismatch_cost, costs.gap_cost, costs.start_gap_cost,
+                  -1 if costs.transpose_cost is None
+                  else costs.transpose_cost], np.int64)
+    codes = np.empty(oa[-1] - oa[0] + ob[-1] - ob[0] if trace else 0,
+                     np.uint8)
+    steps = np.zeros(n if trace else 0, np.int64)
+    if _lib().lev_k_costs(n, da.ctypes.data, oa.ctypes.data, db.ctypes.data,
+                          ob.ctypes.data, max_k.ctypes.data, c.ctypes.data,
+                          out.ctypes.data,
+                          codes.ctypes.data if trace else None,
+                          steps.ctypes.data):
+        raise MemoryError("lev_k_costs could not allocate its scratch")
+    return (codes, steps) if trace else None
 
 
 def bag_distance_unit(da, oa, db, ob) -> np.ndarray:

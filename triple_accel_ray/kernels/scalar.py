@@ -2,8 +2,9 @@
 
 These are from-scratch Python implementations of the exact semantics of the
 reference library's scalar routines (cited per function). They are
-deliberately simple and row-oriented: batch/vectorized fast paths
-(``myers.py``, ``batch.py``) are differential-tested against these.
+deliberately simple and row-oriented: the compiled engine in ``_myers.c``
+(through ``batch.py`` and ``api.py``) is differential-tested against these,
+and runs them only for inputs of more than 256 distinct symbols.
 
 Reference semantics sources (all under /root/reference/src/):
   * hamming.rs:36-47 (hamming_naive), hamming.rs:96-146 (search)

@@ -91,22 +91,6 @@ _TURNS_PER_DOC_BUCKET = 8192
 _DOCS_PER_PAIR_BUCKET = 1500
 
 
-def _score_batch_size(cfg: PipelineConfig, n_pairs_est: int) -> int:
-    """Scoring batch size for an (estimated) total pair count: grows from
-    cfg.score_batch_size toward cfg.score_batch_max while keeping >= 4
-    batches per cluster CPU (load balance). Sized when the unit-cost
-    kernels were numpy, whose per-call dispatch made small batches dear
-    (single-core on the sf0.1 pair mix: 62.7 core-s at bs=512 vs 51.0 at
-    bs=8192); whether it still pays with the compiled kernel is open."""
-    ncpus = cluster_cpus() or 32
-    return int(
-        min(
-            cfg.score_batch_max,
-            max(cfg.score_batch_size, n_pairs_est // (4 * ncpus)),
-        )
-    )
-
-
 class _Run:
     """What the stage builders see: the input, the config, and each
     earlier stage's output and row count (when known). An output is a
@@ -199,11 +183,8 @@ def _edges(r: _Run):
         scorer = PairScorer(**kw)
         pairs = attach_pair_texts(r.ds("pairs"), docs,
                                   num_partitions=c.pair_buckets)
-    # the exact pair count when the pairs stage was written, else the doc
-    # count (pairs/doc ≈ 0.9 on transcript corpora)
-    batch_size = _score_batch_size(c, r.rows.get("pairs", r.rows["docs"]))
     return pairs.map_batches(
-        scorer, batch_format="pyarrow", batch_size=batch_size,
+        scorer, batch_format="pyarrow", batch_size=c.score_batch_size,
     ).map_batches(_match_edges, batch_format="pyarrow")
 
 

@@ -163,9 +163,9 @@ def explain_edges(edges_with_texts, costs: EditCosts = LEVENSHTEIN_COSTS,
     levenshtein.rs:376-607 trace path) to match edges as a
     ``list<struct<edit, count>>`` column.
 
-    Uses the batch-vectorized trace DP (``levenshtein_k_batch_trace``,
-    trace-parity-tested against the scalar kernel) traced at k = dist, the
-    tightest valid band."""
+    Uses ``levenshtein_k_batch_trace`` (the compiled banded DP and its walk
+    back, trace-parity-tested against the scalar kernel) traced at
+    k = dist, the tightest valid band."""
     import numpy as np
 
     from ..kernels.batch import levenshtein_k_batch_trace
