@@ -5,8 +5,9 @@ lengths {10, 100, 1000} with k = len/10, and search over haystacks
 
 The reference publishes no absolute numbers (BASELINE.md) — this records
 ours, per batch-kernel call and per pair, single process; ``lev_simd_k_*``
-rows time the single-pair API one call per pair, and each column-search
-row is the median of COLUMN_REPS calls. Run:
+rows time the single-pair API one call per pair. Each pairwise row
+(``lev_k_*``, ``lev_simd_k_*``, ``hamming_*``, ``lev_long_*``) and each
+column-search row is the median of REPS timed calls. Run:
     python scripts/bench_kernels.py
 """
 
@@ -19,7 +20,7 @@ import statistics
 import sys
 import time
 
-COLUMN_REPS = 7  # timed calls per column-search row; the median is kept
+REPS = 7  # timed calls per pairwise and column-search row; the median is kept
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
@@ -55,15 +56,22 @@ def mutate(rng, s, k):
     return bytes(b)
 
 
-def _median_call(fn, *args, reps=COLUMN_REPS):
-    """Median wall time of ``reps`` calls: one call of the column search
-    is 40-130 ms, too short for a single timing to be stable."""
+def _median_call(fn, *args, reps=REPS):
+    """Median wall time of ``reps`` calls: one call of a batch kernel or
+    the column search takes milliseconds to seconds, and a single timing
+    of the same code moved by up to 45% between runs."""
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
         fn(*args)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def _single_pairs(a, b, k):
+    """The single-pair API, one call per pair."""
+    for x, y in zip(a, b):
+        levenshtein_simd_k(x, y, k)
 
 
 def main():
@@ -77,18 +85,13 @@ def main():
         n = 4000 if length <= 100 else 1000
         a = [rand_str(rng, length) for _ in range(n)]
         b = [mutate(rng, s, k) for s in a]
-        t0 = time.perf_counter()
-        levenshtein_k_batch(a, b, k)
-        dt = time.perf_counter() - t0
+        dt = _median_call(levenshtein_k_batch, a, b, k)
         out[f"lev_k_len{length}"] = {
             "pairs_per_sec": round(n / dt), "k": k, "n": n}
 
         # the single-pair API, one call per pair on the same pairs
         n1 = n // 4
-        t0 = time.perf_counter()
-        for x, y in zip(a[:n1], b[:n1]):
-            levenshtein_simd_k(x, y, k)
-        dt = time.perf_counter() - t0
+        dt = _median_call(_single_pairs, a[:n1], b[:n1], k)
         out[f"lev_simd_k_len{length}"] = {
             "us_per_pair": round(1e6 * dt / n1, 2), "k": k, "n": n1}
 
@@ -100,9 +103,7 @@ def main():
                 if bb:
                     bb[rng.randrange(len(bb))] = rng.randrange(33, 127)
             b_h.append(bytes(bb))
-        t0 = time.perf_counter()
-        hamming_batch(a_h, b_h)
-        dt = time.perf_counter() - t0
+        dt = _median_call(hamming_batch, a_h, b_h)
         out[f"hamming_len{length}"] = {"pairs_per_sec": round(n / dt), "n": n}
 
     # search workloads, one haystack per call: the scalar oracle and the
@@ -150,16 +151,13 @@ def main():
         b_col = [mutate(rng, a, int(0.12 * L)) if rng.random() < 0.8
                  else rand_str(rng, L) for a in a_col]
         levenshtein_k_batch(a_col[:128], b_col[:128], k)  # warm
-        t0 = time.perf_counter()
         g1 = levenshtein_k_batch(a_col, b_col, k)
-        dt_m = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        levenshtein_k_batch(a_col, b_col, k, RDAMERAU_COSTS)
-        dt_r = time.perf_counter() - t0
-        t0 = time.perf_counter()
         g2, _ = levenshtein_k_batch_trace(a_col, b_col, k)
-        dt_t = time.perf_counter() - t0
         assert (g1 == g2).all()
+        dt_m = _median_call(levenshtein_k_batch, a_col, b_col, k)
+        dt_r = _median_call(levenshtein_k_batch, a_col, b_col, k,
+                            RDAMERAU_COSTS)
+        dt_t = _median_call(levenshtein_k_batch_trace, a_col, b_col, k)
         out[f"lev_long_len{L}_k{k}"] = {
             "pairs_per_sec": round(n2 / dt_m),
             "rdamerau_pairs_per_sec": round(n2 / dt_r),

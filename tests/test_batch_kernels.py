@@ -140,21 +140,28 @@ def test_levenshtein_k_batch_matches_scalar(costs, k):
 
 def test_levenshtein_k_batch_long_strings():
     """Distance and trace on 200-600 byte pairs (several 64-row words, a
-    wide band) under unit costs and restricted Damerau."""
+    wide band) under unit costs and restricted Damerau, at k = 32, at a
+    k past int64 (which the scalar path accepts) and at per-row bounds
+    holding one such k."""
     rng = random.Random(9)
     a_col, b_col = [], []
     for _ in range(25):
         a = rand_str(rng, rng.randrange(200, 600))
         a_col.append(a)
         b_col.append(mutate(rng, a, 20))
+    huge = 1 << 70
+    per_row = [huge if i == 3 else 32 for i in range(len(a_col))]
     for costs in (LEVENSHTEIN_COSTS, RDAMERAU_COSTS):
-        want = [levenshtein_k_with_opts(a, b, 32, True, costs)
-                for a, b in zip(a_col, b_col)]
-        want_d = [-1 if r is None else r[0] for r in want]
-        assert levenshtein_k_batch(a_col, b_col, 32, costs).tolist() == want_d
-        d, traces = levenshtein_k_batch_trace(a_col, b_col, 32, costs)
-        assert d.tolist() == want_d
-        assert traces == [None if r is None else r[1] for r in want]
+        for k in (32, huge, per_row):
+            ks = k if isinstance(k, list) else [k] * len(a_col)
+            want = [levenshtein_k_with_opts(a, b, ki, True, costs)
+                    for a, b, ki in zip(a_col, b_col, ks)]
+            want_d = [-1 if r is None else r[0] for r in want]
+            assert levenshtein_k_batch(a_col, b_col, k,
+                                       costs).tolist() == want_d
+            d, traces = levenshtein_k_batch_trace(a_col, b_col, k, costs)
+            assert d.tolist() == want_d
+            assert traces == [None if r is None else r[1] for r in want]
 
 
 def test_levenshtein_batch_unbounded():

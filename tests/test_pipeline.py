@@ -255,6 +255,53 @@ def test_e2e_f1_and_resume(ray_session, tmp_path):
     assert s5["metrics"] == s["metrics"]
 
 
+def test_pipeline_shuffles_run_one_bucket_per_cpu(ray_session, tmp_path,
+                                                  monkeypatch):
+    """Every pipeline shuffle (docs, both pair shuffles, both text joins)
+    runs one bucket per CPU under the default caps, whatever the input's
+    size, and the cap when it is smaller; the clusters are the same."""
+    import inspect
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from triple_accel_ray.pipeline import PipelineConfig, shuffle
+    from triple_accel_ray.pipeline.run import run_er_pipeline_fused
+
+    transcripts, labels = generate_transcripts(120, seed=42)
+    tp = str(tmp_path / "transcripts.parquet")
+    lp = str(tmp_path / "labels.parquet")
+    pq.write_table(transcripts, tp)
+    pq.write_table(labels, lp)
+
+    seen = []
+    for name in ("bucket_partition", "bucket_join"):
+        def spy(*args, _real=getattr(shuffle, name), **kw):
+            call = inspect.signature(_real).bind(*args, **kw)
+            call.apply_defaults()
+            seen.append(call.arguments["num_buckets"])
+            return _real(*args, **kw)
+        monkeypatch.setattr(shuffle, name, spy)
+
+    def run(tag, **caps):
+        seen.clear()
+        s = run_er_pipeline_fused(tp, str(tmp_path / tag), PipelineConfig(
+            broadcast_text_max_bytes=0, **caps), labels_path=lp)
+        return s["metrics"], list(seen)
+
+    ncpus = int(ray.cluster_resources()["CPU"])
+    assert ncpus == 4  # the conftest session
+    m_default, b_default = run("default")
+    m_two, b_two = run("two", doc_buckets=2, pair_buckets=2)
+    # docs, pair generation, pair dedup, then two joins (each a join
+    # call plus its partition): 3 + 2 * 2 shuffle calls
+    assert len(b_default) == len(b_two) == 7
+    assert set(b_default) == {ncpus}
+    assert set(b_two) == {2}
+    assert m_default["f1"] >= 0.99
+    assert m_two == m_default
+
+
 def test_clusters_after_delete_vs_full(ray_session):
     """Targeted delete propagation equals a full recluster of the
     surviving graph: deletions that split a cluster, delete a whole

@@ -132,6 +132,19 @@ def bag_distance_batch(col_a, col_b) -> np.ndarray:
                                     *to_byte_rows(col_b))
 
 
+def _bounds(k, oa, ob, costs: EditCosts) -> np.ndarray:
+    """``k`` (a scalar or one per row) as int64, cut first to an upper
+    bound on every row's achievable cost. The engine caps each row's k
+    there anyway (``scalar._max_k_and_band``), so the cut changes no
+    answer, and a Python int k past int64, which the scalar path accepts,
+    still converts."""
+    longest = (int(np.diff(oa).max(initial=0))
+               + int(np.diff(ob).max(initial=0)))
+    reach = (longest * max(costs.mismatch_cost, costs.gap_cost)
+             + costs.start_gap_cost)
+    return np.asarray(np.minimum(np.asarray(k), reach), np.int64)
+
+
 def levenshtein_k_batch(col_a, col_b, k, costs: EditCosts = LEVENSHTEIN_COSTS
                         ) -> np.ndarray:
     """k-bounded edit distance per row; -1 where the cost exceeds the bound
@@ -144,7 +157,7 @@ def levenshtein_k_batch(col_a, col_b, k, costs: EditCosts = LEVENSHTEIN_COSTS
     da, oa = to_byte_rows(col_a)
     db, ob = to_byte_rows(col_b)
     out = np.empty(len(oa) - 1, dtype=np.int64)  # native checks len(ob)
-    k_arr = np.asarray(k, dtype=np.int64)
+    k_arr = _bounds(k, oa, ob, costs)
     if costs.is_unit():
         native.levenshtein_k_unit(da, oa, db, ob, k_arr, out)
     else:
@@ -172,7 +185,7 @@ def levenshtein_k_batch_trace(col_a, col_b, k, costs: EditCosts = LEVENSHTEIN_CO
     db, ob = to_byte_rows(col_b)
     out = np.empty(len(oa) - 1, dtype=np.int64)  # native checks len(ob)
     codes, steps = native.levenshtein_k_costs(
-        da, oa, db, ob, np.asarray(k, dtype=np.int64), costs, out, trace=True)
+        da, oa, db, ob, _bounds(k, oa, ob, costs), costs, out, trace=True)
     swapped = (np.diff(oa) > np.diff(ob)).tolist()
     traces: List[Optional[List[Edit]]] = []
     pos = 0

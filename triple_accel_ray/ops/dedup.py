@@ -1042,7 +1042,7 @@ def near_dup_survivors(docs, threshold: float = 0.5, num_buckets: int = 32,
     and oracles; this operator contributes only the composition.
     ``num_buckets`` is the pair shuffles' bucket count and the cap of
     the connected components' (one bucket per CPU below it,
-    ``shuffle.graph_buckets``).
+    ``shuffle.shuffle_buckets``).
     """
     import pyarrow.compute as pc
 
@@ -1084,7 +1084,7 @@ def simhash_survivors(docs, max_hamming: int = 6, num_buckets: int = 32,
     Contributes only the composition; both building blocks keep their
     own tests and oracles. ``num_buckets`` is the pair shuffles' bucket
     count and the cap of the connected components' (one bucket per CPU
-    below it, ``shuffle.graph_buckets``)."""
+    below it, ``shuffle.shuffle_buckets``)."""
     import pyarrow.compute as pc
 
     from ..pipeline.cluster import connected_components
@@ -1422,7 +1422,7 @@ def near_dup_survivors_best(docs, threshold: float = 0.5,
     the classic combiner shape; no component's rows ever gather in one
     task before being reduced. ``num_buckets`` is the bucket count of the
     pair shuffles and joins and the cap of the connected components'
-    (one bucket per CPU below it, ``shuffle.graph_buckets``)."""
+    (one bucket per CPU below it, ``shuffle.shuffle_buckets``)."""
     import pyarrow.compute as pc
 
     from ..pipeline.cluster import connected_components

@@ -26,7 +26,7 @@ are integer sums, counts or filters, so any partitioning gives
 identical output, and the chained-CTE SQL twins are value-exact.
 
 Bucket count: ``num_buckets`` is a cap. Each operator picks B once,
-before its first exchange, with ``shuffle.graph_buckets`` — one bucket
+before its first exchange, with ``shuffle.shuffle_buckets`` — one bucket
 per cluster CPU, never more than the cap — and keeps that B for every
 exchange, since its buckets stay in place. Every exchange schedules ~B²
 objects, so a B above what the cluster can run at once costs more than
@@ -42,8 +42,8 @@ import polars as pl
 import pyarrow as pa
 
 from ..pipeline.pairs import _triu_cache
-from ..pipeline.shuffle import (counter_totals, gather, graph_buckets,
-                                raw_exchange)
+from ..pipeline.shuffle import (counter_totals, gather, raw_exchange,
+                                shuffle_buckets)
 
 _SEED = 61        # owner bucket of a node: hash(node, _SEED) % B
 _PAIR_SEED = 58   # owner bucket of a canonical (lo, hi) edge
@@ -208,7 +208,7 @@ def triangle_counts_fast(edges, num_buckets: int = 32):
     import ray.data as rd
 
     edge_refs = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
-    B = graph_buckets(num_buckets)
+    B = shuffle_buckets(num_buckets)
     if not edge_refs:
         return rd.from_arrow(pa.schema([
             ("conv_id", pa.string()), ("n_triangles", pa.int64())
@@ -296,7 +296,7 @@ def pagerank_stationary(edges, n_iter: int = 3, scale: int = 10**12,
     import ray.data as rd
 
     blocks = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
-    B = graph_buckets(num_buckets)
+    B = shuffle_buckets(num_buckets)
     n_nodes = 0
     if blocks:
         graph, counts = raw_exchange(blocks, _directed_map, _attach_degree, B)
@@ -401,7 +401,7 @@ def kcore_stationary(edges, k: int = 2, rounds: int = 3,
     import ray.data as rd
 
     blocks = edges.select_columns(["a_id", "b_id"]).to_arrow_refs()
-    B = graph_buckets(num_buckets)
+    B = shuffle_buckets(num_buckets)
     if not blocks:
         return rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
                                        "core_deg": pa.array([], pa.int64())}))

@@ -4,7 +4,7 @@ Distributed path (:func:`connected_components`): per-block
 pre-contraction to star edges, then min-label propagation over
 hash-partitioned RESIDENT buckets. The bucket count B is one per
 cluster CPU, with ``num_partitions`` as its cap, chosen once before the
-first exchange (``shuffle.graph_buckets``). Each round is two
+first exchange (``shuffle.shuffle_buckets``). Each round is two
 ``shuffle.raw_exchange`` calls over the same buckets: a propagate
 exchange (each bucket joins its own edges against its own label slice
 and ships only (destination, min label) id-width messages), then a
@@ -30,8 +30,8 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
-from .shuffle import (counter_totals, gather, graph_buckets, raw_exchange,
-                      route)
+from .shuffle import (counter_totals, gather, raw_exchange, route,
+                      shuffle_buckets)
 
 _SEED = 71  # owner bucket of a node: hash(node, _SEED) % B
 
@@ -237,7 +237,7 @@ def connected_components(
     NOT reached in ``max_iters`` the labels would be stale (a component
     can keep >1 label), so this raises RuntimeError instead: the result
     is exact or there is none."""
-    # num_partitions caps the bucket count B, which shuffle.graph_buckets
+    # num_partitions caps the bucket count B, which shuffle.shuffle_buckets
     # sets to one per cluster CPU.
     # stats (optional dict, filled in place): "buckets" (that B) and
     # per-iteration telemetry —
@@ -251,7 +251,7 @@ def connected_components(
     # shrink toward the fixpoint.
     import ray.data as rd
 
-    B = graph_buckets(num_partitions)
+    B = shuffle_buckets(num_partitions)
     node_refs = nodes.to_arrow_refs()
     if not node_refs:
         return rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
@@ -387,14 +387,14 @@ def clusters_after_delete(edges, nodes, deleted, num_partitions: int = 32,
     ``edges``/``nodes`` are the full pre-delete graph; ``deleted`` is a
     dataset of conv_id. ``num_partitions`` caps the bucket count of every
     join and connected components run here: one bucket per cluster CPU
-    (``shuffle.graph_buckets``). On a 3,000-node, 2,000-edge graph with
+    (``shuffle.shuffle_buckets``). On a 3,000-node, 2,000-edge graph with
     30 deleted nodes on 4 CPUs, joins at a fixed 32 buckets took
     10.3-13.5 s against 2.4-2.8 s at 4."""
     import pyarrow.compute as pc
 
     from .shuffle import bucket_join
 
-    B = graph_buckets(num_partitions)
+    B = shuffle_buckets(num_partitions)
 
     _id = pa.schema([("conv_id", pa.string())])
     _cl = pa.schema([("conv_id", pa.string()), ("cluster_id", pa.string())])

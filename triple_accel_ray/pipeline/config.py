@@ -15,13 +15,11 @@ from ..kernels.types import EditCosts, LEVENSHTEIN_COSTS
 @dataclass
 class PipelineConfig:
     # --- doc building -----------------------------------------------------
-    # CAP on hash buckets for the conv_id shuffle. Since the bucketed
-    # shuffles run as sort-with-explicit-boundaries
-    # (shuffle.bucket_partition), the bucket count is ALSO the
-    # reduce-partition count and therefore the task granularity of every
-    # stage fused after the shuffle, so run.py scales the effective count
-    # with the input (~8k turns per bucket, floor = cluster CPUs, this
-    # cap). At 100 TB raise the cap so buckets stay ~10k rows.
+    # CAP on hash buckets for the conv_id shuffle: the shuffle runs one
+    # bucket per cluster CPU (shuffle.shuffle_buckets) and never more than
+    # this. The bucket count is also the reduce-partition count
+    # (shuffle.bucket_partition) and so the task granularity of every stage
+    # fused after the shuffle.
     doc_buckets: int = 512
 
     # --- blocking ---------------------------------------------------------
@@ -32,15 +30,10 @@ class PipelineConfig:
     len_band_width: int = 32  # signature-key length bucket width (bytes)
 
     # --- pair generation --------------------------------------------------
-    # like doc_buckets, a CAP: the pair shuffles' reducer count is ALSO the
-    # scoring stage's task granularity (the scorer fuses onto the pair-
-    # dedup reduce partitions), and the scorer is the pipeline's compute
-    # peak. Measured both failure modes of a FIXED count: 32 buckets at
-    # sf0.4/16cpu ran the scorer as 15 tasks of 9-26 s (230 core-s total;
-    # stage wall = the longest task), while 128 buckets at sf0.1/32cpu
-    # added ~1.3 s of per-reducer overhead (300-row buckets). run.py
-    # scales the effective count: ~1.5k docs per bucket, floor = cluster
-    # CPUs, this cap.
+    # like doc_buckets, a CAP on one bucket per cluster CPU, for the two
+    # pair shuffles and the two text joins. The pair-dedup reducer count is
+    # also the scoring stage's task granularity (the scorer fuses onto its
+    # reduce partitions).
     pair_buckets: int = 512
     # blocks larger than this switch from all-pairs to sorted-neighborhood
     # (explicit skew control; a hot block of n docs emits O(n*window) pairs
@@ -68,7 +61,7 @@ class PipelineConfig:
 
     # --- clustering -------------------------------------------------------
     # a CAP on the distributed connected components' bucket count: the
-    # op runs one bucket per cluster CPU (shuffle.graph_buckets) and
+    # op runs one bucket per cluster CPU (shuffle.shuffle_buckets) and
     # never more than this
     cluster_partitions: int = 32
     cluster_max_iters: int = 25

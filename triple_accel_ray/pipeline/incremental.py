@@ -36,6 +36,7 @@ from .docs import build_docs
 from .metrics import pairwise_f1
 from .pairs import _bucket_to_pairs
 from .score import BroadcastTextScorer, build_text_index
+from .shuffle import shuffle_buckets
 
 
 def run_er_incremental(
@@ -61,19 +62,9 @@ def run_er_incremental(
         len_band_width=cfg.len_band_width,
     )
 
-    # 1. docs + blocks for the appended conversations only (appends are
-    # usually small — size the shuffle to the increment, not the cap)
-    from .run import _TURNS_PER_DOC_BUCKET
-    from .shuffle import effective_buckets
-    from .transcripts import count_rows
-
-    new_docs = build_docs(
-        rd.read_parquet(new_transcripts_path),
-        effective_buckets(
-            cfg.doc_buckets, count_rows(new_transcripts_path),
-            _TURNS_PER_DOC_BUCKET,
-        ),
-    ).materialize()
+    # 1. docs + blocks for the appended conversations only
+    new_docs = build_docs(rd.read_parquet(new_transcripts_path),
+                          shuffle_buckets(cfg.doc_buckets)).materialize()
     if new_docs.count() == 0:
         out = {"increment": read_manifest(edges_dir).get("increments", 0),
                "new_docs": 0, "new_pairs_scored": 0, "new_edges": 0,

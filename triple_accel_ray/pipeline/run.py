@@ -60,7 +60,7 @@ from .docs import build_docs
 from .metrics import pairwise_f1
 from .pairs import attach_pair_texts, gen_pairs
 from .score import BroadcastTextScorer, PairScorer, build_text_index_remote
-from .shuffle import cluster_cpus, effective_buckets
+from .shuffle import cluster_cpus, shuffle_buckets
 from .transcripts import count_rows, uncompressed_bytes
 
 
@@ -81,14 +81,6 @@ def _read_blocks() -> int:
     On a real cluster this is still ~1 block per core fleet-wide."""
     ncpus = cluster_cpus()
     return 32 if ncpus is None else max(8, ncpus)
-
-
-# ~rows per bucket targets: sized so the sf0.1 headline keeps its measured
-# optimum (32 buckets at 266k turns / 44k docs / 32 CPUs) and larger inputs
-# grow toward cap. Pairs/doc ≈ 0.9 on transcript corpora, so doc count is
-# the pair-stage row estimate.
-_TURNS_PER_DOC_BUCKET = 8192
-_DOCS_PER_PAIR_BUCKET = 1500
 
 
 class _Run:
@@ -132,9 +124,7 @@ class _Run:
 def _docs(r: _Run):
     return build_docs(
         rd.read_parquet(r.path, override_num_blocks=_read_blocks()),
-        # parquet footers only — no data read
-        effective_buckets(r.cfg.doc_buckets, count_rows(r.path),
-                          _TURNS_PER_DOC_BUCKET),
+        shuffle_buckets(r.cfg.doc_buckets),
     )
 
 
@@ -151,8 +141,7 @@ def _pairs(r: _Run):
     c = r.cfg
     return gen_pairs(
         r.ds("blocks"),
-        num_buckets=effective_buckets(c.pair_buckets, r.rows["docs"],
-                                      _DOCS_PER_PAIR_BUCKET),
+        num_buckets=shuffle_buckets(c.pair_buckets),
         hot_block_cap=c.hot_block_cap,
         hot_block_window=c.hot_block_window,
     )
@@ -181,8 +170,8 @@ def _edges(r: _Run):
         pairs = r.ds("pairs")
     else:
         scorer = PairScorer(**kw)
-        pairs = attach_pair_texts(r.ds("pairs"), docs,
-                                  num_partitions=c.pair_buckets)
+        pairs = attach_pair_texts(
+            r.ds("pairs"), docs, num_partitions=shuffle_buckets(c.pair_buckets))
     return pairs.map_batches(
         scorer, batch_format="pyarrow", batch_size=c.score_batch_size,
     ).map_batches(_match_edges, batch_format="pyarrow")
@@ -230,7 +219,7 @@ STAGES = (
         c.len_band_width), reads=("docs",)),
     Stage("pairs", _pairs, lambda c: (
         c.pair_buckets, c.hot_block_cap, c.hot_block_window),
-        reads=("blocks",), counts=("docs",)),
+        reads=("blocks",)),
     Stage("edges", _edges, lambda c: (
         c.rel_k, c.abs_min_k, c.abs_max_k, c.min_similarity, str(c.costs)),
         reads=("pairs", "docs")),

@@ -1,9 +1,8 @@
 """Bucket routing: the one place that knows how rows are split into
 hash buckets and shipped between tasks, and how many buckets a shuffle
-gets (:func:`effective_buckets` for the Dataset shuffles: one bucket per
-cluster CPU, more only when the input is large; :func:`graph_buckets`
-for the graph operators: one per CPU; never more than the caller's
-cap).
+gets (:func:`shuffle_buckets`: one bucket per cluster CPU, never more
+than the caller's cap, for the pipeline's Dataset shuffles and the graph
+operators alike).
 
 Two forms. ``hash_split``/``route``/``raw_exchange`` move
 object-store-resident Arrow parts between plain Ray tasks; they carry
@@ -37,31 +36,27 @@ def cluster_cpus() -> int | None:
         return None
 
 
-def effective_buckets(cap: int, n_rows: int, target_rows: int) -> int:
-    """Bucket count for a shuffle feeding ~``n_rows`` rows: at least one
-    bucket per cluster CPU (no idle cores), at most ``cap``, otherwise
-    ~``target_rows`` rows per bucket. The count is also the task
-    granularity of the shuffle's reduces (and, for the sort-with-boundaries
-    shuffles of :func:`bucket_partition`, of whatever stage fuses after
-    them), so it must scale with the data. Measured both failure modes of
-    a fixed count on the pipeline shuffles at sf0.4/16cpu vs sf0.1/32cpu:
-    a fixed 32 makes the sf0.4 scorer 15 tasks of 9-26 s (wall = longest
-    task); a fixed 128 adds ~1.3 s of per-reducer overhead to the sf0.1
-    pairs stage (300-row buckets)."""
-    return int(min(cap, max(cluster_cpus() or 32, n_rows // target_rows)))
+def shuffle_buckets(cap: int) -> int:
+    """Bucket count of a shuffle: one bucket per cluster CPU, at most
+    ``cap``, at least 2 (what :func:`raw_exchange` runs). The count is
+    also the task granularity of the shuffle's reduces (and, for
+    :func:`bucket_partition`, of whatever stage fuses after them); past
+    one bucket per CPU smaller buckets bought nothing, so the input's
+    size does not enter the count. Measured on 4 CPUs:
 
+    - graph operators, which pick B once and keep it for every round
+      (~3·B² objects each): connected components at fixed B ran a
+      30k-node graph in 0.6-1.0 s at B = 2 or 4 and 2.6-2.9 s at 32,
+      and a 2.28M-node graph in 13.8-15.4 s at B = 4, 15.1-15.5 s at 8,
+      20 s at 16 and 27-36 s at 32;
+    - the ER pipeline's docs and pair shuffles, against the old row
+      targets (~8k turns per doc bucket, ~1.5k docs per pair bucket):
+      the whole pipeline at sf0.1 took 4.7-5.4 s at 4 buckets against
+      7.2-9.5 s at the row targets' 32/29 (6/6 pairs), and at sf0.4
+      17-24 s against 30-44 s at 129/117 (3/3 pairs), with the same
+      clusters.
 
-def graph_buckets(cap: int) -> int:
-    """Bucket count of a graph operator: one bucket per cluster CPU, at
-    most ``cap``, at least 2 (what :func:`raw_exchange` runs). The
-    operator picks it once, before its first exchange, and keeps it for
-    every round, since its buckets stay in place. Every round schedules
-    ~3·B² objects, and past one bucket per CPU smaller buckets bought
-    nothing: connected components at fixed B on 4 CPUs ran a 30k-node
-    graph in 0.6-1.0 s at B = 2 or 4 and 2.6-2.9 s at 32, and a
-    2.28M-node graph in 13.8-15.4 s at B = 4, 15.1-15.5 s at 8, 20 s at
-    16 and 27-36 s at 32. No graph was measured where more buckets than
-    CPUs paid, so the input's size does not enter the count."""
+    No input was measured where more buckets than CPUs paid."""
     return _fan_out(min(cap, cluster_cpus() or 32))
 
 
